@@ -20,7 +20,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class FeatureMatrix:
             raise ValueError("feature matrix, flags, scores and ids must align")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("features must be finite")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("scores must be finite")
         if np.any(self.y < 0) or np.any(self.y > 1):
             raise ValueError("scores must lie in [0, 1]")
         if not (0 < self.protected.sum() < n):
@@ -128,28 +130,47 @@ def soft_assignments(features: FeatureMatrix, model: PrototypeModel) -> np.ndarr
             f"feature dim {features.m} != prototype dim "
             f"{model.prototypes.shape[1]}"
         )
+    x, v = features.x, model.prototypes
+    logits = np.empty((features.n, model.k))
     # overflow here just produces non-finite assignments, which training
     # reports as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = features.x[:, None, :] - model.prototypes[None, :, :]
-        logits = -np.sum(diff * diff, axis=2)
+        # one prototype at a time: no (n, K, m) temporary, and each row sum
+        # reduces the same m contiguous values as a broadcast would
+        for k in range(model.k):
+            d = x - v[k]
+            logits[:, k] = -np.sum(d * d, axis=1)
         logits -= logits.max(axis=1, keepdims=True)
         expd = np.exp(logits)
         return expd / expd.sum(axis=1, keepdims=True)
 
 
+class _Forward(NamedTuple):
+    """One forward pass: assignments, reconstructions and estimated scores."""
+
+    m_mat: np.ndarray  # (n, K)
+    x_hat: np.ndarray  # (n, m)
+    y_hat: np.ndarray  # (n,)
+
+
+def _forward(features: FeatureMatrix, model: PrototypeModel) -> _Forward:
+    m_mat = soft_assignments(features, model)
+    return _Forward(m_mat, m_mat @ model.prototypes, m_mat @ model.score_weights)
+
+
+def _losses(features: FeatureMatrix, fwd: _Forward) -> tuple[float, float, float]:
+    l_x = float(np.mean(np.sum((features.x - fwd.x_hat) ** 2, axis=1)))
+    l_y = float(np.mean(np.abs(features.y - fwd.y_hat)))
+    mu_p = fwd.m_mat[features.protected].mean(axis=0)
+    mu_m = fwd.m_mat[~features.protected].mean(axis=0)
+    l_z = float(np.sum(np.abs(mu_p - mu_m)))
+    return l_x, l_y, l_z
+
+
 def losses(
     features: FeatureMatrix, model: PrototypeModel
 ) -> tuple[float, float, float]:
-    m_mat = soft_assignments(features, model)
-    x_hat = m_mat @ model.prototypes
-    y_hat = m_mat @ model.score_weights
-    l_x = float(np.mean(np.sum((features.x - x_hat) ** 2, axis=1)))
-    l_y = float(np.mean(np.abs(features.y - y_hat)))
-    mu_p = m_mat[features.protected].mean(axis=0)
-    mu_m = m_mat[~features.protected].mean(axis=0)
-    l_z = float(np.sum(np.abs(mu_p - mu_m)))
-    return l_x, l_y, l_z
+    return _losses(features, _forward(features, model))
 
 
 def total_loss(
@@ -159,17 +180,16 @@ def total_loss(
     return hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
 
 
-def gradient(
-    features: FeatureMatrix, model: PrototypeModel, hyper: Hyperparams
+def _gradient(
+    features: FeatureMatrix,
+    model: PrototypeModel,
+    hyper: Hyperparams,
+    fwd: _Forward,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the total loss w.r.t. prototypes and score
-    weights. The absolute-value terms use subgradient 0 at exact ties."""
     x, y, prot = features.x, features.y, features.protected
     n = features.n
     v, w = model.prototypes, model.score_weights
-    m_mat = soft_assignments(features, model)
-    x_hat = m_mat @ v
-    y_hat = m_mat @ w
+    m_mat, x_hat, y_hat = fwd
 
     sy = np.sign(y_hat - y)
     mu_p = m_mat[prot].mean(axis=0)
@@ -198,6 +218,14 @@ def gradient(
     return grad_v, grad_w
 
 
+def gradient(
+    features: FeatureMatrix, model: PrototypeModel, hyper: Hyperparams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of the total loss w.r.t. prototypes and score
+    weights. The absolute-value terms use subgradient 0 at exact ties."""
+    return _gradient(features, model, hyper, _forward(features, model))
+
+
 def accuracy_score_diff(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Mean absolute score difference; estimates are clamped to [0, 1]."""
     y = np.asarray(y, dtype=float)
@@ -207,38 +235,48 @@ def accuracy_score_diff(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.mean(np.abs(y - np.clip(y_hat, 0.0, 1.0))))
 
 
+def _id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position among the ids in Python string order (equal ids
+    keep their row order)."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def _rank_order(y_hat: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Row indices by descending score, ties broken by ascending id."""
+    return np.lexsort((id_rank, -y_hat))
+
+
 def apply_model(
     features: FeatureMatrix, model: PrototypeModel
 ) -> tuple[np.ndarray, Ranking]:
     """Estimated scores and the ranking they induce (descending score,
     ascending-id tie break)."""
-    m_mat = soft_assignments(features, model)
-    y_hat = m_mat @ model.score_weights
-    order = sorted(
-        range(features.n), key=lambda r: (-y_hat[r], features.ids[r])
-    )
+    y_hat = soft_assignments(features, model) @ model.score_weights
+    order = _rank_order(y_hat, _id_rank(features.ids))
     items = tuple(
         Item(
             id=features.ids[r],
             protected=bool(features.protected[r]),
             score=float(y_hat[r]),
         )
-        for r in order
+        for r in order.tolist()
     )
     return y_hat, Ranking(items=items)
 
 
 def _trace(
     features: FeatureMatrix,
-    model: PrototypeModel,
     hyper: Hyperparams,
+    fwd: _Forward,
+    id_rank: np.ndarray,
     iteration: int,
     step: int,
 ) -> TraceRecord:
-    l_x, l_y, l_z = losses(features, model)
+    l_x, l_y, l_z = _losses(features, fwd)
     total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-    y_hat, ranked = apply_model(features, model)
-    flags = ranked.protected_flags()
+    flags = features.protected[_rank_order(fwd.y_hat, id_rank)]
     rrd_ok = 2 * int(flags.sum()) <= flags.size
     return TraceRecord(
         iteration=iteration,
@@ -249,7 +287,7 @@ def _trace(
         rnd=measure_from_flags(MeasureKind.RND, flags, step),
         rkl=measure_from_flags(MeasureKind.RKL, flags, step),
         rrd=measure_from_flags(MeasureKind.RRD, flags, step) if rrd_ok else None,
-        score_diff=accuracy_score_diff(features.y, y_hat),
+        score_diff=accuracy_score_diff(features.y, fwd.y_hat),
     )
 
 
@@ -266,11 +304,14 @@ def train(
     v = features.x[idx].copy()
     w = np.full(hyper.k, 0.5)
 
+    id_rank = _id_rank(features.ids)
     traces: list[TraceRecord] = []
     prev_total: Optional[float] = None
     for it in range(hyper.max_iters):
         model = PrototypeModel(prototypes=v, score_weights=w)
-        rec = _trace(features, model, hyper, it, step)
+        # one forward pass feeds the trace record and the gradient step
+        fwd = _forward(features, model)
+        rec = _trace(features, hyper, fwd, id_rank, it, step)
         if not np.isfinite(rec.total):
             raise DivergenceError(it)
         traces.append(rec)
@@ -282,7 +323,7 @@ def train(
         ):
             break
         prev_total = rec.total
-        grad_v, grad_w = gradient(features, model, hyper)
+        grad_v, grad_w = _gradient(features, model, hyper, fwd)
         v = v - hyper.learning_rate * grad_v
         w = w - hyper.learning_rate * grad_w
     return PrototypeModel(prototypes=v, score_weights=w), traces

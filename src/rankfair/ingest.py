@@ -9,17 +9,18 @@ broken by ascending row id, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
-
-import csv
 
 from .ranking import Item, Ranking, validate_ranking
 
 
 class TableLoadError(ValueError):
-    """File missing, ragged, duplicate ids or a missing cell."""
+    """File missing, ragged, duplicate ids, a missing cell or a non-finite
+    number in a column that is used."""
 
 
 class UnknownColumnError(KeyError):
@@ -146,6 +147,22 @@ def load_table(
     )
 
 
+def _require_finite(table: DatasetTable, name: str) -> None:
+    """Reject ``nan``/``inf`` in a numeric column, naming the first offending
+    row id. ``float()`` parses both, and either one silently breaks the
+    score sort or the threshold test."""
+    col = table.column(name)
+    # nan and inf always make the sum non-finite; an overflowing sum of
+    # finite values only costs the scan below, which then finds nothing
+    if math.isfinite(sum(col)):
+        return
+    for rid, v in zip(table.row_ids, col):
+        if not math.isfinite(v):
+            raise TableLoadError(
+                f"column {name!r} has non-finite value {v!r} at row id {rid!r}"
+            )
+
+
 def derive_protected(
     table: DatasetTable, spec: ProtectedSpec
 ) -> tuple[list[bool], float]:
@@ -156,6 +173,7 @@ def derive_protected(
             raise SpecError(
                 f"less_than needs a numeric column, {spec.column!r} is not"
             )
+        _require_finite(table, spec.column)
         flags = [v < spec.value for v in col]
     elif spec.predicate == "equals":
         target = spec.value
@@ -183,6 +201,7 @@ def compute_scores(table: DatasetTable, spec: ScoreSpec) -> list[float]:
             raise UnknownColumnError(name)
         if not table.is_numeric(name):
             raise SpecError(f"score column {name!r} is not numeric")
+        _require_finite(table, name)
     if spec.mode == "single_attribute":
         return list(table.column(spec.columns[0]))
     normalized = [minmax_normalize(table.column(c)) for c in spec.columns]

@@ -8,6 +8,7 @@ and all functions are pure, so values can be shared freely.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -162,6 +163,10 @@ def read_ranking_csv(path: str | Path) -> Ranking:
                     raise RankingFormatError(
                         f"{path}:{lineno}: bad score {row[2]!r}"
                     ) from None
+                if not math.isfinite(score):
+                    raise RankingFormatError(
+                        f"{path}:{lineno}: non-finite score {row[2]!r}"
+                    )
             items.append(Item(id=row[0], protected=row[1] == "1", score=score))
     return validate_ranking(Ranking(items=tuple(items)))
 

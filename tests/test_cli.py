@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,30 @@ class TestRank:
         ]
         assert main(args) == 1
 
+    def test_non_finite_score_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("id,g,s\na,0,3\nb,1,nan\nc,0,inf\nd,1,2\ne,0,1\n")
+        out = tmp_path / "r.csv"
+        args = [
+            "rank", str(path), "--id-col", "id", "--protected-col", "g",
+            "--protected-equals", "1", "--score-col", "s", "--out", str(out),
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "'s'" in err and "'b'" in err and "non-finite" in err
+        assert not out.exists()
+
+    def test_non_finite_threshold_column_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("id,age,s\na,20,3\nb,30,2\nc,inf,1\n")
+        args = [
+            "rank", str(path), "--id-col", "id", "--protected-col", "age",
+            "--protected-less-than", "25", "--score-col", "s",
+            "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(args) == 1
+        assert "'age'" in capsys.readouterr().err
+
     def test_failed_run_leaves_no_output(self, dataset_csv, tmp_path):
         out = tmp_path / "r.csv"
         args = [
@@ -210,6 +235,41 @@ class TestOptimize:
         assert main(args) == 0
         for line in (tmp_path / "td.csv").read_text().splitlines()[1:]:
             assert float(line.split(",")[4]) == pytest.approx(0.0, abs=1e-9)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "k4": [
+        "--score-sum", "skill", "rating",
+        "--features", "skill", "experience", "rating",
+        "--k", "4", "--iters", "40", "--lr", "0.1", "--ax", "0.05",
+        "--az", "3", "--seed", "3", "--step", "5",
+    ],
+    "k1": ["--score-col", "rating", "--k", "1", "--iters", "12", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(GOLDEN_RUNS))
+def test_optimize_golden_outputs(tag, tmp_path):
+    """The trace, model and ranking files equal, byte for byte, the ones the
+    per-call training loop wrote for this dataset (ids "p1".."p48", whose
+    string order differs from row order; with one prototype every score
+    ties, so the ranking is the id order)."""
+    outs = {
+        kind: tmp_path / f"optimize_{tag}_{kind}"
+        for kind in ("trace.csv", "model.json", "ranking.csv")
+    }
+    args = [
+        "optimize", str(GOLDEN / "optimize_dataset.csv"), "--id-col", "id",
+        "--protected-col", "age", "--protected-less-than", "30",
+        *GOLDEN_RUNS[tag],
+        "--trace-out", str(outs["trace.csv"]),
+        "--model-out", str(outs["model.json"]),
+        "--ranking-out", str(outs["ranking.csv"]),
+    ]
+    assert main(args) == 0
+    for path in outs.values():
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
 
 def test_help_lists_commands(capsys):

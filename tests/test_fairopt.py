@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from rankfair.fairopt import (
     train,
     write_trace_csv,
 )
+from rankfair.measures import MeasureKind, measure_from_flags
 
 SOFT0 = 0.7310585786300049  # 1 / (1 + e^-1)
 SOFT1 = 0.2689414213699951  # e^-1 / (1 + e^-1)
@@ -50,7 +53,51 @@ def random_instance(rng, n=30, m=3, k=4):
     return feats, model
 
 
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            feature_matrix([[0.0], [1.0], [2.0]], [True, False, False], [0.1, bad, 0.5])
+
+    def test_out_of_range_scores_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            feature_matrix([[0.0], [1.0]], [True, False], [0.1, 1.5])
+
+
+def reference_soft_assignments(features, model):
+    """The (n, K, m) broadcast form of the softmax over negative squared
+    distances, with the same max subtraction."""
+    diff = features.x[:, None, :] - model.prototypes[None, :, :]
+    logits = -np.sum(diff * diff, axis=2)
+    logits -= logits.max(axis=1, keepdims=True)
+    expd = np.exp(logits)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
 class TestSoftAssignments:
+    def test_bitwise_equal_to_broadcast_form(self):
+        rng = np.random.default_rng(21)
+        shapes = [(2, 1, 1), (5, 1, 3), (7, 4, 1), (40, 10, 8)]
+        shapes += [
+            (int(rng.integers(2, 80)), int(rng.integers(1, 20)), int(rng.integers(1, 40)))
+            for _ in range(60)
+        ]
+        for n, m, k in shapes:
+            scale = 10.0 ** rng.uniform(-2, 2)
+            feats = FeatureMatrix(
+                x=rng.normal(0, scale, (n, m)),
+                protected=np.arange(n) % 2 == 0,
+                y=rng.random(n),
+                ids=tuple(str(j) for j in range(n)),
+            )
+            model = PrototypeModel(
+                prototypes=rng.normal(0, scale, (k, m)), score_weights=rng.random(k)
+            )
+            assert np.array_equal(
+                soft_assignments(feats, model),
+                reference_soft_assignments(feats, model),
+            ), (n, m, k)
+
     def test_single_prototype(self):
         feats = feature_matrix([[0.1], [0.9]], [True, False], [0.0, 1.0])
         model = PrototypeModel(prototypes=[[0.5]], score_weights=[0.5])
@@ -236,6 +283,116 @@ class TestTrain:
         )
         _, traces = train(biased_features, hyper)
         assert len(traces) < 200
+
+
+def reference_train(features, hyper, step=10):
+    """Training as it ran before the forward pass was shared: separate
+    ``losses``, ``apply_model`` and ``gradient`` calls per iteration, and the
+    trace order from a Python sort on ``(-y_hat, id)``."""
+    rng = np.random.default_rng(hyper.seed)
+    idx = rng.choice(features.n, size=hyper.k, replace=False)
+    v = features.x[idx].copy()
+    w = np.full(hyper.k, 0.5)
+    traces = []
+    prev_total = None
+    for it in range(hyper.max_iters):
+        model = PrototypeModel(prototypes=v, score_weights=w)
+        l_x, l_y, l_z = losses(features, model)
+        total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
+        y_hat, _ = apply_model(features, model)
+        order = sorted(
+            range(features.n), key=lambda r: (-y_hat[r], features.ids[r])
+        )
+        flags = np.array([features.protected[r] for r in order])
+        rrd_ok = 2 * int(flags.sum()) <= flags.size
+        traces.append(
+            TraceRecord(
+                iteration=it,
+                total=total,
+                l_x=l_x,
+                l_y=l_y,
+                l_z=l_z,
+                rnd=measure_from_flags(MeasureKind.RND, flags, step),
+                rkl=measure_from_flags(MeasureKind.RKL, flags, step),
+                rrd=measure_from_flags(MeasureKind.RRD, flags, step)
+                if rrd_ok
+                else None,
+                score_diff=accuracy_score_diff(features.y, y_hat),
+            )
+        )
+        if (
+            hyper.early_stop_rel_tol > 0
+            and prev_total is not None
+            and abs(prev_total - total)
+            <= hyper.early_stop_rel_tol * max(abs(prev_total), 1e-12)
+        ):
+            break
+        prev_total = total
+        grad_v, grad_w = gradient(features, model, hyper)
+        v = v - hyper.learning_rate * grad_v
+        w = w - hyper.learning_rate * grad_w
+    return PrototypeModel(prototypes=v, score_weights=w), traces
+
+
+def with_ids(features, ids):
+    return dataclasses.replace(features, ids=tuple(ids))
+
+
+class TestSharedForwardPass:
+    """``train`` runs one forward pass per iteration and ranks the trace
+    with ``np.lexsort``; it must match the per-call reference exactly."""
+
+    HYPERS = [
+        Hyperparams(k=5, max_iters=25, seed=12),
+        Hyperparams(a_x=0.3, a_y=1.0, a_z=2.0, k=6, learning_rate=0.2, max_iters=30, seed=1),
+        # a_y = 0 leaves the score weights constant: near-ties everywhere
+        Hyperparams(a_x=1.0, a_y=0.0, a_z=0.5, k=3, max_iters=20, seed=5),
+        # one prototype: every estimated score is the same, all ties
+        Hyperparams(k=1, max_iters=10, seed=0),
+        Hyperparams(k=5, learning_rate=1e-6, max_iters=200, early_stop_rel_tol=0.5, seed=3),
+    ]
+
+    def id_variants(self, features):
+        n = features.n
+        perm = np.random.default_rng(0).permutation(n)
+        return {
+            "padded": features,
+            # "i10" sorts before "i2": string order differs from row order
+            "unpadded": with_ids(features, (f"i{j}" for j in range(n))),
+            "shuffled": with_ids(features, (f"i{j}" for j in perm)),
+            "duplicated": with_ids(features, (f"g{j % 7}" for j in perm)),
+        }
+
+    @pytest.mark.parametrize("hyper", HYPERS)
+    def test_trace_matches_reference(self, biased_features, hyper):
+        for name, feats in self.id_variants(biased_features).items():
+            for step in (10, 7):
+                model, traces = train(feats, hyper, step=step)
+                ref_model, ref_traces = reference_train(feats, hyper, step=step)
+                assert traces == ref_traces, (name, step)
+                assert np.array_equal(model.prototypes, ref_model.prototypes)
+                assert np.array_equal(model.score_weights, ref_model.score_weights)
+
+    def test_all_ties_rank_in_id_order(self, biased_features):
+        feats = self.id_variants(biased_features)["shuffled"]
+        model, _ = train(feats, Hyperparams(k=1, max_iters=5, seed=0))
+        y_hat, ranked = apply_model(feats, model)
+        assert np.all(y_hat == y_hat[0])
+        assert [it.id for it in ranked.items] == sorted(feats.ids)
+
+    def test_apply_model_matches_python_sort(self, biased_features):
+        rng = np.random.default_rng(13)
+        for feats in self.id_variants(biased_features).values():
+            model = PrototypeModel(
+                prototypes=rng.random((4, feats.m)),
+                score_weights=np.round(rng.random(4), 1),
+            )
+            y_hat, ranked = apply_model(feats, model)
+            order = sorted(range(feats.n), key=lambda r: (-y_hat[r], feats.ids[r]))
+            assert [it.id for it in ranked.items] == [feats.ids[r] for r in order]
+            assert [it.protected for it in ranked.items] == [
+                bool(feats.protected[r]) for r in order
+            ]
 
 
 class TestApplyModel:

@@ -157,3 +157,29 @@ class TestScoreAndRank:
     def test_categorical_score_column(self, small_table):
         with pytest.raises(SpecError):
             compute_scores(small_table, ScoreSpec.single_attribute("gender"))
+
+
+class TestNonFiniteValues:
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = write_csv(tmp_path, "id,s,t\na,3,1\nb,nan,2\nc,inf,-inf\nd,2,4\n")
+        return load_table(path, row_id_column="id")
+
+    def test_single_score_column(self, table):
+        with pytest.raises(TableLoadError, match="'s'.*nan.*'b'"):
+            compute_scores(table, ScoreSpec.single_attribute("s"))
+
+    def test_summed_score_columns(self, table):
+        with pytest.raises(TableLoadError, match="'t'.*-inf.*'c'"):
+            compute_scores(table, ScoreSpec.equal_weight_sum(["t", "s"]))
+
+    def test_less_than_column(self, table):
+        with pytest.raises(TableLoadError, match="'s'.*nan.*'b'"):
+            derive_protected(table, ProtectedSpec.less_than("s", 2.5))
+
+    def test_overflowing_finite_column_accepted(self, tmp_path):
+        path = write_csv(tmp_path, "id,s\na,1e308\nb,1e308\nc,-1\n")
+        table = load_table(path, row_id_column="id")
+        assert compute_scores(table, ScoreSpec.single_attribute("s")) == [
+            1e308, 1e308, -1.0
+        ]

@@ -132,6 +132,15 @@ class TestCsv:
         with pytest.raises(RankingFormatError):
             read_ranking_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score(self, tmp_path, bad):
+        path = tmp_path / "r.csv"
+        path.write_text(f"id,protected,score\na,1,0.5\nb,0,{bad}\n")
+        from rankfair.ranking import RankingFormatError
+
+        with pytest.raises(RankingFormatError, match=f":3: non-finite score '{bad}'"):
+            read_ranking_csv(path)
+
     def test_missing_file(self):
         from rankfair.ranking import RankingFormatError
 
