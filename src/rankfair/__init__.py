@@ -28,13 +28,13 @@ from .measures import (
     normalizer,
     parity_term,
     report_to_json,
-    unnormalized_sum,
 )
 from .generator import (
     GeneratorConfig,
     SweepRow,
     aggregate_sweep,
     generate_unfair,
+    merge_order,
     random_base_ranking,
     sweep,
 )

@@ -165,6 +165,8 @@ def cmd_optimize(args) -> int:
     for name in feature_cols:
         if name not in table.data:
             raise ingest.UnknownColumnError(name)
+        if table.is_numeric(name):
+            ingest.require_finite(table, name)
     x = np.column_stack(
         [ingest.minmax_normalize(table.column(c)) for c in feature_cols]
     )

@@ -37,21 +37,19 @@ class GeneratorConfig:
             )
 
 
-def generate_unfair(base: Ranking, config: GeneratorConfig) -> Ranking:
-    """Biased merge of the base ranking's group subsequences; a permutation
-    of the base that never reorders two items of the same group."""
-    validate_ranking(base)
-    flags = base.protected_flags()
-    n = base.n
+def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
+    """Index order of the biased merge of the protected (``flags`` true) and
+    nonprotected positions, each group kept in its given order. With one
+    group empty the order is the identity and no draw is made."""
+    flags = np.asarray(flags, dtype=bool)
+    n = flags.size
     prot_idx = np.nonzero(flags)[0]
     nonp_idx = np.nonzero(~flags)[0]
     n_plus, n_minus = prot_idx.size, nonp_idx.size
-
     if n_plus == 0 or n_minus == 0:
-        return base
+        return np.arange(n)
 
-    f = config.fairness_probability
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     # draws are consumed in order, so taking n up front matches drawing one
     # per merge step
     choice = rng.random(n) < f
@@ -66,7 +64,14 @@ def generate_unfair(base: Ranking, config: GeneratorConfig) -> Ranking:
         nonp_idx[took_nonp[:t] - 1],
     )
     tails = [prot_idx[took_prot[t - 1] :], nonp_idx[took_nonp[t - 1] :]]
-    order = np.concatenate([merged, *tails])
+    return np.concatenate([merged, *tails])
+
+
+def generate_unfair(base: Ranking, config: GeneratorConfig) -> Ranking:
+    """Biased merge of the base ranking's group subsequences; a permutation
+    of the base that never reorders two items of the same group."""
+    validate_ranking(base)
+    order = merge_order(base.protected_flags(), config.fairness_probability, config.seed)
     return Ranking(items=tuple(base.items[i] for i in order))
 
 

@@ -147,7 +147,7 @@ def load_table(
     )
 
 
-def _require_finite(table: DatasetTable, name: str) -> None:
+def require_finite(table: DatasetTable, name: str) -> None:
     """Reject ``nan``/``inf`` in a numeric column, naming the first offending
     row id. ``float()`` parses both, and either one silently breaks the
     score sort or the threshold test."""
@@ -173,7 +173,7 @@ def derive_protected(
             raise SpecError(
                 f"less_than needs a numeric column, {spec.column!r} is not"
             )
-        _require_finite(table, spec.column)
+        require_finite(table, spec.column)
         flags = [v < spec.value for v in col]
     elif spec.predicate == "equals":
         target = spec.value
@@ -201,7 +201,7 @@ def compute_scores(table: DatasetTable, spec: ScoreSpec) -> list[float]:
             raise UnknownColumnError(name)
         if not table.is_numeric(name):
             raise SpecError(f"score column {name!r} is not numeric")
-        _require_finite(table, name)
+        require_finite(table, name)
     if spec.mode == "single_attribute":
         return list(table.column(spec.columns[0]))
     normalized = [minmax_normalize(table.column(c)) for c in spec.columns]

@@ -6,6 +6,11 @@ weighted by 1/log2(i), and divides by the largest value attainable for the
 given group sizes. Logarithms are base 2 throughout. 0 means statistical
 parity at every cutoff; 1 is the worst attainable value.
 
+One vectorized kernel, ``_discounted_terms``, computes every discounted term
+(term / log2 i) for the measures, the normalizers and the per-cutoff report,
+over one or more rows of prefix counts. ``parity_term`` is the scalar
+definition of the undiscounted term; the tests pin the kernel to it.
+
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
 maximum over all rankings with the given (n, n_plus) is verified, not proven:
@@ -23,11 +28,11 @@ import enum
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .ranking import Ranking, build_schedule, prefix_counts, validate_ranking
+from .ranking import Ranking, build_schedule, validate_ranking
 
 _TINY = np.finfo(float).tiny
 
@@ -122,7 +127,9 @@ def parity_term(
     kind: MeasureKind, i: int, c: int, n: int, n_plus: int
 ) -> float:
     """The undiscounted set-wise parity term at cutoff ``i`` with ``c``
-    protected items in the prefix."""
+    protected items in the prefix: the scalar definition, checked for a
+    feasible ``c``. The measures, normalizers and report use the vectorized
+    ``_discounted_terms``, which yields this value divided by log2(i)."""
     _check_group(n, n_plus)
     lo, hi = max(0, i - (n - n_plus)), min(i, n_plus)
     if not lo <= c <= hi:
@@ -130,29 +137,17 @@ def parity_term(
     return float(_term_values(kind, np.array(i), np.array(c), n, n_plus))
 
 
-def unnormalized_sum(
-    kind: MeasureKind,
-    counts: Sequence[tuple[int, int]],
-    n: int,
-    n_plus: int,
-) -> float:
-    """Discounted sum of parity terms over the given (cutoff, count) pairs."""
-    acc = 0.0
-    for i, c in counts:
-        acc += parity_term(kind, i, c, n, n_plus) / float(np.log2(i))
-    return acc
+def _discounted_terms(
+    kind: MeasureKind, cutoffs: np.ndarray, counts: np.ndarray, n: int, n_plus: int
+) -> np.ndarray:
+    """Parity terms divided by log2(i) at the given cutoffs.
 
-
-def _discounted_sum(
-    kind: MeasureKind, cutoffs: np.ndarray, c: np.ndarray, n: int, n_plus: int
-) -> float:
-    """Discounted sum of parity terms at the given cutoffs and prefix counts.
-
-    The normalizer and the measure both sum here, strictly left to right, so
-    a ranking equal to the maximizing extreme scores exactly 1.
+    ``counts`` holds the prefix counts at ``cutoffs`` along its last axis, one
+    row per ranking. Every discounted value is computed here, and callers sum
+    a row strictly left to right, so a ranking equal to the maximizing
+    extreme scores exactly 1.
     """
-    terms = _term_values(kind, cutoffs, c, n, n_plus)
-    return sum((terms / np.log2(cutoffs)).tolist())
+    return _term_values(kind, cutoffs, counts, n, n_plus) / np.log2(cutoffs)
 
 
 _normalizer_lock = threading.Lock()
@@ -161,14 +156,13 @@ _normalizer_lock = threading.Lock()
 @lru_cache(maxsize=None)
 def _normalizer_cached(kind: MeasureKind, n: int, n_plus: int, step: int) -> float:
     cutoffs = np.asarray(build_schedule(n, step).cutoffs)
-    protected_last = _discounted_sum(
-        kind, cutoffs, np.maximum(0, cutoffs - (n - n_plus)), n, n_plus
+    extremes = np.stack(
+        [np.maximum(0, cutoffs - (n - n_plus)), np.minimum(cutoffs, n_plus)]
     )
+    rows = _discounted_terms(kind, cutoffs, extremes, n, n_plus).tolist()
+    protected_last, protected_first = (sum(row) for row in rows)
     if kind is MeasureKind.RRD:
         return protected_last
-    protected_first = _discounted_sum(
-        kind, cutoffs, np.minimum(cutoffs, n_plus), n, n_plus
-    )
     return max(protected_first, protected_last)
 
 
@@ -182,12 +176,13 @@ def normalizer(
     """Largest attainable discounted sum for the given group sizes.
 
     Evaluates the prefix counts of the segregated rankings, min(i, n_plus)
-    (protected first) and max(0, i - n_minus) (protected last), in O(n / step)
-    time and memory. rND/rKL take the larger sum (see the module docstring
-    for how far this is checked against the exact maximum); rRD takes the
-    protected-last sum. Returns 0.0 in the trivial single-cutoff case
-    n <= step, where the only cutoff is the whole ranking and every ranking
-    scores 0.
+    (protected first) and max(0, i - n_minus) (protected last), as two rows of
+    one kernel call, in O(n / step) time and memory. rND/rKL take the larger
+    sum (see the module docstring for how far this is checked against the
+    exact maximum); rRD takes the protected-last sum. Returns 0.0 in the
+    trivial single-cutoff case n <= step, where the only cutoff is the whole
+    ranking and every ranking scores 0. Results are cached per key: a sweep
+    asks for the same few keys hundreds of times.
     """
     _check_group(n, n_plus)
     if kind is MeasureKind.RRD and 2 * n_plus > n and not allow_majority_rrd:
@@ -214,7 +209,7 @@ def measure_from_flags(
         return 0.0
     cutoffs = np.asarray(build_schedule(n, step).cutoffs)
     c = np.cumsum(flags)[cutoffs - 1]
-    return _discounted_sum(kind, cutoffs, c, n, n_plus) / z
+    return sum(_discounted_terms(kind, cutoffs, c, n, n_plus).tolist()) / z
 
 
 def measure(
@@ -257,44 +252,31 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     """All three measures plus per-cutoff diagnostics. rRD is reported as
     None (not raised) when the protected group is the majority."""
     validate_ranking(ranking)
-    n, n_plus = ranking.n, ranking.n_plus
-    _check_group(n, n_plus)
-    counts = prefix_counts(ranking, build_schedule(n, step))
+    flags = ranking.protected_flags()
+    n, n_plus = int(flags.size), int(flags.sum())
+    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
+    c = np.cumsum(flags)[cutoffs - 1]
 
-    rrd_ok = 2 * n_plus <= n
-    rnd = measure(MeasureKind.RND, ranking, step)
-    rkl = measure(MeasureKind.RKL, ranking, step)
-    rrd = measure(MeasureKind.RRD, ranking, step) if rrd_ok else None
-
-    z_rnd = normalizer(MeasureKind.RND, n, n_plus, step)
-    z_rkl = normalizer(MeasureKind.RKL, n, n_plus, step)
-    z_rrd = normalizer(MeasureKind.RRD, n, n_plus, step) if rrd_ok else None
-
-    diags = []
-    for i, c in counts:
-        disc = float(np.log2(i))
-        diags.append(
-            CutoffDiagnostics(
-                i=i,
-                c=c,
-                term_rnd=parity_term(MeasureKind.RND, i, c, n, n_plus) / disc,
-                term_rkl=parity_term(MeasureKind.RKL, i, c, n, n_plus) / disc,
-                term_rrd=(
-                    parity_term(MeasureKind.RRD, i, c, n, n_plus) / disc
-                    if rrd_ok
-                    else None
-                ),
-            )
-        )
+    kinds = list(MeasureKind) if 2 * n_plus <= n else [MeasureKind.RND, MeasureKind.RKL]
+    values: list[Optional[float]] = [None] * 3
+    zs: list[Optional[float]] = [None] * 3
+    rows: list[list] = [[None] * cutoffs.size] * 3
+    for j, kind in enumerate(kinds):
+        zs[j] = z = normalizer(kind, n, n_plus, step)
+        rows[j] = _discounted_terms(kind, cutoffs, c, n, n_plus).tolist()
+        values[j] = sum(rows[j]) / z if z != 0.0 else 0.0
     return FairnessReport(
         n=n,
         n_plus=n_plus,
         step=step,
-        rnd=rnd,
-        rkl=rkl,
-        rrd=rrd,
-        per_cutoff=tuple(diags),
-        normalizers=(z_rnd, z_rkl, z_rrd),
+        rnd=values[0],
+        rkl=values[1],
+        rrd=values[2],
+        per_cutoff=tuple(
+            CutoffDiagnostics(i, ci, *terms)
+            for i, ci, *terms in zip(cutoffs.tolist(), c.tolist(), *rows)
+        ),
+        normalizers=tuple(zs),
     )
 
 

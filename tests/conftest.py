@@ -1,7 +1,10 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from rankfair.fairopt import FeatureMatrix
+from rankfair.measures import MeasureKind, parity_term
 
 
 def biased_feature_matrix(seed: int = 7) -> FeatureMatrix:
@@ -25,3 +28,16 @@ def biased_feature_matrix(seed: int = 7) -> FeatureMatrix:
 @pytest.fixture
 def biased_features() -> FeatureMatrix:
     return biased_feature_matrix()
+
+
+def unnormalized_sum(
+    kind: MeasureKind,
+    counts: Sequence[tuple[int, int]],
+    n: int,
+    n_plus: int,
+) -> float:
+    """Discounted sum of parity terms over the given (cutoff, count) pairs."""
+    acc = 0.0
+    for i, c in counts:
+        acc += parity_term(kind, i, c, n, n_plus) / float(np.log2(i))
+    return acc

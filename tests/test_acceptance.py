@@ -24,7 +24,7 @@ from rankfair.fairopt import (
     total_loss,
     train,
 )
-from rankfair.generator import GeneratorConfig, aggregate_sweep, generate_unfair, random_base_ranking, sweep
+from rankfair.generator import GeneratorConfig, aggregate_sweep, generate_unfair, merge_order, random_base_ranking, sweep
 from rankfair.ingest import ProtectedSpec, ScoreSpec, derive_protected, load_table, score_and_rank
 from rankfair.measures import (
     MeasureKind,
@@ -32,11 +32,10 @@ from rankfair.measures import (
     measure,
     measure_from_flags,
     normalizer,
-    unnormalized_sum,
 )
 from rankfair.ranking import build_schedule, ranking_from_flags
 
-from conftest import biased_feature_matrix
+from conftest import biased_feature_matrix, unnormalized_sum
 
 
 @contextmanager
@@ -58,19 +57,11 @@ def criterion(number, label, budget_s):
 
 
 def unfair_flags(n: int, n_plus: int, f: float, seed: int) -> np.ndarray:
-    """Protected-flag sequence of the biased merge, skipping item objects.
-    Draw-for-draw identical to generate_unfair on a base ranking with
-    n_plus protected items."""
-    rng = np.random.default_rng(seed)
-    choice = rng.random(n) < f
-    took_p = np.cumsum(choice)
-    took_m = np.arange(1, n + 1) - took_p
-    t = int(np.nonzero((took_p == n_plus) | (took_m == n - n_plus))[0][0]) + 1
-    flags = np.empty(n, dtype=bool)
-    flags[:t] = choice[:t]
-    # after one side runs out the other side is emitted unchanged
-    flags[t:] = took_p[t - 1] < n_plus
-    return flags
+    """Protected-flag sequence of the biased merge, skipping item objects:
+    generate_unfair's merge of a base ranking with n_plus protected items
+    first."""
+    base = np.arange(n) < n_plus
+    return base[merge_order(base, f, seed)]
 
 
 def test_criterion_1_exact_normalization_at_extremes():

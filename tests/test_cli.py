@@ -236,6 +236,23 @@ class TestOptimize:
         for line in (tmp_path / "td.csv").read_text().splitlines()[1:]:
             assert float(line.split(",")[4]) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_feature_column_exit_1(self, tmp_path, capsys, bad):
+        path = tmp_path / "features.csv"
+        path.write_text(f"id,age,s,x\na,20,3,1\nb,30,2,{bad}\nc,40,1,2\nd,22,0,3\n")
+        args = [
+            "optimize", str(path), "--id-col", "id", "--protected-col", "age",
+            "--protected-less-than", "25", "--score-col", "s",
+            "--features", "s", "x", "--k", "2", "--iters", "2",
+            "--trace-out", str(tmp_path / "t.csv"),
+            "--model-out", str(tmp_path / "m.json"),
+            "--ranking-out", str(tmp_path / "r.csv"),
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "'x'" in err and "'b'" in err and "non-finite" in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RUNS = {
@@ -270,6 +287,26 @@ def test_optimize_golden_outputs(tag, tmp_path):
     assert main(args) == 0
     for path in outs.values():
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+MEASURE_GOLDEN_ARGS = {
+    "minority": [],
+    "majority": [],
+    "short": [],
+    "step3": ["--step", "3"],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(MEASURE_GOLDEN_ARGS))
+def test_measure_golden_outputs(tag, tmp_path):
+    """The report JSON equals, byte for byte, the one the per-cutoff report
+    loop wrote: a minority group with n = 137 (the last cutoff is not a
+    multiple of the step), a majority group (rRD null), n <= step (every
+    value 0) and step 3."""
+    out = tmp_path / f"measure_{tag}.json"
+    args = ["measure", str(GOLDEN / f"measure_{tag}.csv"), "--out", str(out)]
+    assert main(args + MEASURE_GOLDEN_ARGS[tag]) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
 def test_help_lists_commands(capsys):

@@ -7,6 +7,7 @@ from rankfair.generator import (
     GeneratorConfig,
     aggregate_sweep,
     generate_unfair,
+    merge_order,
     random_base_ranking,
     sweep,
     write_aggregate_csv,
@@ -58,6 +59,11 @@ class TestGenerateUnfair:
             "d",
             "c",
         ]
+
+    def test_merge_order_is_the_index_level_merge(self):
+        flags = BASE4.protected_flags()
+        assert merge_order(flags, 0.5, 42).tolist() == [1, 0, 3, 2]
+        assert merge_order(np.zeros(3, dtype=bool), 0.5, 42).tolist() == [0, 1, 2]
 
     def test_deterministic(self):
         cfg = GeneratorConfig(0.37, 7)

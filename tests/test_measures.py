@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from rankfair.measures import (
     BinaryDistribution,
+    CutoffDiagnostics,
     DegenerateGroupError,
+    FairnessReport,
     MeasureKind,
     RrdInapplicableError,
     fairness_report,
@@ -17,10 +19,11 @@ from rankfair.measures import (
     normalizer,
     parity_term,
     report_to_json,
-    unnormalized_sum,
     _term_values,
 )
 from rankfair.ranking import build_schedule, prefix_counts, ranking_from_flags
+
+from conftest import unnormalized_sum
 
 LOG2_10 = math.log2(10)
 
@@ -61,6 +64,60 @@ def dp_max_sum(kind, n, n_plus, step):
         val = reach
     # the final cutoff is n, where c is pinned to n_plus
     return float(val[n_plus])
+
+
+def reference_fairness_report(ranking, step=10):
+    """Reference for ``fairness_report``: the per-cutoff loop it replaced,
+    with three ``measure`` calls, six ``normalizer`` calls and three scalar
+    ``parity_term`` calls per cutoff."""
+    n, n_plus = ranking.n, ranking.n_plus
+    counts = prefix_counts(ranking, build_schedule(n, step))
+
+    rrd_ok = 2 * n_plus <= n
+    rnd = measure(MeasureKind.RND, ranking, step)
+    rkl = measure(MeasureKind.RKL, ranking, step)
+    rrd = measure(MeasureKind.RRD, ranking, step) if rrd_ok else None
+
+    z_rnd = normalizer(MeasureKind.RND, n, n_plus, step)
+    z_rkl = normalizer(MeasureKind.RKL, n, n_plus, step)
+    z_rrd = normalizer(MeasureKind.RRD, n, n_plus, step) if rrd_ok else None
+
+    diags = []
+    for i, c in counts:
+        disc = float(np.log2(i))
+        diags.append(
+            CutoffDiagnostics(
+                i=i,
+                c=c,
+                term_rnd=parity_term(MeasureKind.RND, i, c, n, n_plus) / disc,
+                term_rkl=parity_term(MeasureKind.RKL, i, c, n, n_plus) / disc,
+                term_rrd=(
+                    parity_term(MeasureKind.RRD, i, c, n, n_plus) / disc
+                    if rrd_ok
+                    else None
+                ),
+            )
+        )
+    return FairnessReport(
+        n=n,
+        n_plus=n_plus,
+        step=step,
+        rnd=rnd,
+        rkl=rkl,
+        rrd=rrd,
+        per_cutoff=tuple(diags),
+        normalizers=(z_rnd, z_rkl, z_rrd),
+    )
+
+
+@st.composite
+def mixed_flags(draw, max_n=300):
+    """Protected flags of a random permutation with both groups present;
+    n_plus ranges over minority and majority groups alike."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    n_plus = draw(st.integers(min_value=1, max_value=n - 1))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return np.random.default_rng(seed).permutation(np.arange(n) < n_plus)
 
 
 class TestKlDivergence:
@@ -316,6 +373,27 @@ class TestFairnessReport:
         rep = fairness_report(ranking_from_flags([True] * 16 + [False] * 4))
         payload = json.loads(report_to_json(rep))
         assert payload["rrd"] is None
+
+
+class TestReportMatchesReference:
+    """The report's kernel rows, pinned without tolerance to the scalar
+    ``parity_term`` and to the per-cutoff reference loop."""
+
+    @given(flags=mixed_flags(), step=st.integers(min_value=2, max_value=15))
+    @settings(max_examples=200, deadline=None)
+    def test_terms_and_report_equal_reference(self, flags, step):
+        rk = ranking_from_flags(flags.tolist())
+        rep = fairness_report(rk, step)
+        n, n_plus = rep.n, rep.n_plus
+        for d in rep.per_cutoff:
+            disc = float(np.log2(d.i))
+            assert d.term_rnd == parity_term(MeasureKind.RND, d.i, d.c, n, n_plus) / disc
+            assert d.term_rkl == parity_term(MeasureKind.RKL, d.i, d.c, n, n_plus) / disc
+            if 2 * n_plus <= n:
+                assert d.term_rrd == (
+                    parity_term(MeasureKind.RRD, d.i, d.c, n, n_plus) / disc
+                )
+        assert rep == reference_fairness_report(rk, step)
 
 
 class TestMeasureFromFlags:
