@@ -9,7 +9,6 @@ from .ranking import (
     RankingFormatError,
     ValidationError,
     build_schedule,
-    prefix_counts,
     ranking_from_flags,
     read_ranking_csv,
     validate_ranking,

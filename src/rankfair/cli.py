@@ -123,6 +123,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
     f_grid = _parse_f_grid(args.f_grid)
     seeds = list(range(args.seeds))
     rows = generator.sweep(args.n, args.n_plus, f_grid, seeds, step=args.step)
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-plus", type=int, required=True)
     p.add_argument("--f-grid", required=True, help="start:stop:step, endpoints inclusive")
-    p.add_argument("--seeds", type=int, default=50, help="number of seeds (0..k-1)")
+    p.add_argument("--seeds", type=int, default=50, help="number of seeds k >= 1 (0..k-1)")
     p.add_argument("--step", type=int, default=10)
     p.add_argument("--out", required=True, help="per-cell CSV")
     p.add_argument("--agg-out", default=None, help="per-f means CSV (default: OUT.agg.csv)")

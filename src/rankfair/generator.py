@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, measure_from_flags
-from .ranking import Item, Ranking, validate_ranking
+from .measures import MeasureKind, _discounted_terms, normalizer
+from .ranking import Item, Ranking, build_schedule, validate_ranking
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,12 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.fairness_probability <= 1.0:
-            raise ValueError(
-                f"fairness probability must be in [0, 1], "
-                f"got {self.fairness_probability}"
-            )
+        _check_probability(self.fairness_probability)
+
+
+def _check_probability(f: float) -> None:
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fairness probability must be in [0, 1], got {f}")
 
 
 def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
@@ -75,15 +76,25 @@ def generate_unfair(base: Ranking, config: GeneratorConfig) -> Ranking:
     return Ranking(items=tuple(base.items[i] for i in order))
 
 
+def _base_permutation(n: int, n_plus: int, seed: int) -> np.ndarray:
+    """Uniform random permutation of range(n); values below n_plus are the
+    protected items."""
+    if n < 2 or not 0 <= n_plus <= n:
+        raise ValueError(f"invalid counts n={n}, n_plus={n_plus}")
+    return np.random.default_rng(seed).permutation(n)
+
+
 def random_base_ranking(n: int, n_plus: int, seed: int) -> Ranking:
     """Uniform random permutation of n items, n_plus of them protected.
     Protected ids are p1..p{n_plus}, the rest q1..q{n - n_plus}."""
-    if n < 2 or not 0 <= n_plus <= n:
-        raise ValueError(f"invalid counts n={n}, n_plus={n_plus}")
-    pool = [Item(id=f"p{i + 1}", protected=True) for i in range(n_plus)]
-    pool += [Item(id=f"q{i + 1}", protected=False) for i in range(n - n_plus)]
-    perm = np.random.default_rng(seed).permutation(n)
-    return Ranking(items=tuple(pool[i] for i in perm))
+    return Ranking(
+        items=tuple(
+            Item(id=f"p{k + 1}", protected=True)
+            if k < n_plus
+            else Item(id=f"q{k - n_plus + 1}", protected=False)
+            for k in _base_permutation(n, n_plus, seed).tolist()
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -102,29 +113,47 @@ def sweep(
     seeds: Sequence[int],
     step: int = 10,
 ) -> list[SweepRow]:
-    """One row per (f, seed): generate a random base, bias it with f, and
-    measure the result. The rRD column is None when the protected group is
-    the majority."""
-    rrd_ok = 2 * n_plus <= n
+    """One row per (f, seed), f outer: draw the seed's random base, bias it
+    with f, and measure the result. The rRD column is None when the
+    protected group is the majority.
+
+    Works on protected-flag arrays only. A seed's base does not depend on f,
+    so it is drawn once per sweep; the prefix counts of one f's rankings are
+    measured together, one kernel call per measure.
+    """
+    seeds, f_grid = list(seeds), list(f_grid)
+    if not seeds:
+        return []
+    bases = [_base_permutation(n, n_plus, seed) < n_plus for seed in seeds]
+    for f in f_grid:
+        _check_probability(f)
+    kinds = list(MeasureKind) if 2 * n_plus <= n else [MeasureKind.RND, MeasureKind.RKL]
+    zs = {kind: normalizer(kind, n, n_plus, step) for kind in kinds}
+    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
+
     rows = []
     for f in f_grid:
-        for seed in seeds:
-            base = random_base_ranking(n, n_plus, seed)
-            out = generate_unfair(base, GeneratorConfig(f, seed))
-            flags = out.protected_flags()
-            rows.append(
-                SweepRow(
-                    f=f,
-                    seed=seed,
-                    rnd=measure_from_flags(MeasureKind.RND, flags, step),
-                    rkl=measure_from_flags(MeasureKind.RKL, flags, step),
-                    rrd=(
-                        measure_from_flags(MeasureKind.RRD, flags, step)
-                        if rrd_ok
-                        else None
-                    ),
-                )
+        counts = np.stack(
+            [
+                np.cumsum(base[merge_order(base, f, seed)])[cutoffs - 1]
+                for base, seed in zip(bases, seeds)
+            ]
+        )
+        # each row summed left to right, as measure_from_flags does
+        values = {
+            kind: [
+                sum(row) / z if z != 0.0 else 0.0
+                for row in _discounted_terms(kind, cutoffs, counts, n, n_plus).tolist()
+            ]
+            for kind, z in zs.items()
+        }
+        rrds = values.get(MeasureKind.RRD, [None] * len(seeds))
+        rows.extend(
+            SweepRow(f=f, seed=seed, rnd=rnd, rkl=rkl, rrd=rrd)
+            for seed, rnd, rkl, rrd in zip(
+                seeds, values[MeasureKind.RND], values[MeasureKind.RKL], rrds
             )
+        )
     return rows
 
 

@@ -1,5 +1,4 @@
-"""Rankings with binary protected-group flags, cutoff schedules and prefix
-counts.
+"""Rankings with binary protected-group flags and cutoff schedules.
 
 Position 1 is the best position. All types are immutable after construction
 and all functions are pure, so values can be shared freely.
@@ -81,20 +80,6 @@ def build_schedule(n: int, step: int = 10) -> CutoffSchedule:
     if not cutoffs or cutoffs[-1] != n:
         cutoffs.append(n)
     return CutoffSchedule(step=step, cutoffs=tuple(cutoffs))
-
-
-def prefix_counts(
-    ranking: Ranking, schedule: CutoffSchedule
-) -> tuple[tuple[int, int], ...]:
-    """Pairs ``(i, c_i)`` where ``c_i`` is the number of protected items among
-    the top ``i``."""
-    if schedule.cutoffs[-1] > ranking.n:
-        raise ValueError(
-            f"cutoff {schedule.cutoffs[-1]} exceeds ranking length {ranking.n}"
-        )
-    cum = np.cumsum(ranking.protected_flags())
-    idx = np.asarray(schedule.cutoffs, dtype=int) - 1
-    return tuple(zip(schedule.cutoffs, (int(c) for c in cum[idx])))
 
 
 def validation_errors(ranking: Ranking) -> list[str]:

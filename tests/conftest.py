@@ -5,6 +5,7 @@ import pytest
 
 from rankfair.fairopt import FeatureMatrix
 from rankfair.measures import MeasureKind, parity_term
+from rankfair.ranking import CutoffSchedule, Ranking
 
 
 def biased_feature_matrix(seed: int = 7) -> FeatureMatrix:
@@ -41,3 +42,17 @@ def unnormalized_sum(
     for i, c in counts:
         acc += parity_term(kind, i, c, n, n_plus) / float(np.log2(i))
     return acc
+
+
+def prefix_counts(
+    ranking: Ranking, schedule: CutoffSchedule
+) -> tuple[tuple[int, int], ...]:
+    """Pairs ``(i, c_i)`` where ``c_i`` is the number of protected items among
+    the top ``i``."""
+    if schedule.cutoffs[-1] > ranking.n:
+        raise ValueError(
+            f"cutoff {schedule.cutoffs[-1]} exceeds ranking length {ranking.n}"
+        )
+    cum = np.cumsum(ranking.protected_flags())
+    idx = np.asarray(schedule.cutoffs, dtype=int) - 1
+    return tuple(zip(schedule.cutoffs, (int(c) for c in cum[idx])))

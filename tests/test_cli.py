@@ -133,6 +133,38 @@ class TestSweep:
         assert main(args) == 2
 
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_exit_2(self, tmp_path, capsys, seeds):
+        out = tmp_path / "s.csv"
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.5",
+            "--seeds", seeds, "--step", "1", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--n-plus", "25"], "invalid counts n=20, n_plus=25"),
+            (["--n", "1", "--n-plus", "0"], "invalid counts n=1, n_plus=0"),
+            (["--n-plus", "0"], "protected group size 0 of 20 is degenerate"),
+            (["--n-plus", "20"], "protected group size 20 of 20 is degenerate"),
+            (["--f-grid", "0:2:0.5"], "fairness probability must be in [0, 1], got 1.5"),
+            (["--step", "1"], "step must be >= 2, got 1"),
+        ],
+    )
+    def test_domain_errors_exit_1(self, tmp_path, capsys, flags, message):
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.5",
+            "--seeds", "2", "--out", str(tmp_path / "s.csv"), *flags,
+        ]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestRank:
     def test_rank_by_column(self, dataset_csv, tmp_path, capsys):
         out = tmp_path / "ranked.csv"
@@ -306,6 +338,38 @@ def test_measure_golden_outputs(tag, tmp_path):
     out = tmp_path / f"measure_{tag}.json"
     args = ["measure", str(GOLDEN / f"measure_{tag}.csv"), "--out", str(out)]
     assert main(args + MEASURE_GOLDEN_ARGS[tag]) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+SWEEP_GOLDEN_ARGS = {
+    "minority": ["--n", "1000", "--n-plus", "300", "--f-grid", "0:1:0.1", "--seeds", "10"],
+    "majority": ["--n", "1000", "--n-plus", "700", "--f-grid", "0:1:0.1", "--seeds", "10"],
+    "short": ["--n", "8", "--n-plus", "3", "--f-grid", "0:1:0.25", "--seeds", "5"],
+    "step3": [
+        "--n", "137", "--n-plus", "40", "--f-grid", "0:1:0.1", "--seeds", "10",
+        "--step", "3",
+    ],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SWEEP_GOLDEN_ARGS))
+def test_sweep_golden_outputs(tag, tmp_path):
+    """The per-cell and per-f CSVs equal, byte for byte, the ones the
+    per-cell ``Item`` loop wrote: a minority group, a majority group (rRD
+    empty), n <= step (every value 0) and step 3 with n = 137."""
+    out = tmp_path / f"sweep_{tag}.csv"
+    assert main(["sweep", *SWEEP_GOLDEN_ARGS[tag], "--out", str(out)]) == 0
+    for name in (out.name, f"sweep_{tag}.agg.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_generate_golden_output(tmp_path):
+    out = tmp_path / "generate.csv"
+    args = [
+        "generate", "--n", "50", "--n-plus", "20", "--f", "0.3", "--seed", "4",
+        "--out", str(out),
+    ]
+    assert main(args) == 0
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rankfair.generator import (
     GeneratorConfig,
+    SweepRow,
     aggregate_sweep,
     generate_unfair,
     merge_order,
@@ -13,6 +14,7 @@ from rankfair.generator import (
     write_aggregate_csv,
     write_sweep_csv,
 )
+from rankfair.measures import MeasureKind, measure_from_flags
 from rankfair.ranking import Item, Ranking
 
 
@@ -28,6 +30,33 @@ BASE4 = Ranking(
 
 def ids(ranking):
     return [it.id for it in ranking.items]
+
+
+def reference_sweep(n, n_plus, f_grid, seeds, step=10):
+    """Reference for ``sweep``: the per-cell loop it replaced, which builds a
+    random base ``Ranking`` for every (f, seed), biases it with
+    ``generate_unfair`` and measures each kind with ``measure_from_flags``."""
+    rrd_ok = 2 * n_plus <= n
+    rows = []
+    for f in f_grid:
+        for seed in seeds:
+            base = random_base_ranking(n, n_plus, seed)
+            out = generate_unfair(base, GeneratorConfig(f, seed))
+            flags = out.protected_flags()
+            rows.append(
+                SweepRow(
+                    f=f,
+                    seed=seed,
+                    rnd=measure_from_flags(MeasureKind.RND, flags, step),
+                    rkl=measure_from_flags(MeasureKind.RKL, flags, step),
+                    rrd=(
+                        measure_from_flags(MeasureKind.RRD, flags, step)
+                        if rrd_ok
+                        else None
+                    ),
+                )
+            )
+    return rows
 
 
 class TestGenerateUnfair:
@@ -137,6 +166,25 @@ class TestSweep:
         assert [a.f for a in aggs] == [0.0, 1.0]
         assert aggs[0].mean_rnd == pytest.approx(
             np.mean([r.rnd for r in rows if r.f == 0.0])
+        )
+
+    def test_empty_seed_list(self):
+        assert sweep(20, 5, [0.0, 1.0], []) == []
+
+    @given(
+        counts=st.integers(min_value=2, max_value=300).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n - 1))
+        ),
+        f_grid=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=4)
+        | st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6),
+        step=st.integers(min_value=2, max_value=15),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference(self, counts, f_grid, seeds, step):
+        n, n_plus = counts
+        assert sweep(n, n_plus, f_grid, seeds, step) == reference_sweep(
+            n, n_plus, f_grid, seeds, step
         )
 
     def test_csv_output(self, tmp_path):

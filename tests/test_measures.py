@@ -21,9 +21,9 @@ from rankfair.measures import (
     report_to_json,
     _term_values,
 )
-from rankfair.ranking import build_schedule, prefix_counts, ranking_from_flags
+from rankfair.ranking import Ranking, build_schedule, ranking_from_flags
 
-from conftest import unnormalized_sum
+from conftest import prefix_counts, unnormalized_sum
 
 LOG2_10 = math.log2(10)
 
@@ -311,7 +311,7 @@ class TestMeasure:
         b = ranking_from_flags([not f for f in flags])
         for kind in (MeasureKind.RND, MeasureKind.RKL):
             assert measure(kind, a, step) == pytest.approx(
-                measure(kind, b, step), abs=1e-9
+                measure(kind, b, step), abs=1e-12
             )
 
     @given(
@@ -394,6 +394,26 @@ class TestReportMatchesReference:
                     parity_term(MeasureKind.RRD, d.i, d.c, n, n_plus) / disc
                 )
         assert rep == reference_fairness_report(rk, step)
+
+
+class TestWithinGroupShuffle:
+    @given(
+        flags=mixed_flags(),
+        group=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        step=st.integers(min_value=2, max_value=15),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_report_unchanged(self, flags, group, seed, step):
+        """Permuting the items of one group among that group's positions
+        changes no measure."""
+        rk = ranking_from_flags(flags.tolist())
+        pos = np.nonzero(flags == group)[0]
+        items = list(rk.items)
+        for p, q in zip(pos, np.random.default_rng(seed).permutation(pos)):
+            items[p] = rk.items[q]
+        shuffled = Ranking(items=tuple(items))
+        assert fairness_report(shuffled, step) == fairness_report(rk, step)
 
 
 class TestMeasureFromFlags:

@@ -8,13 +8,14 @@ from rankfair.ranking import (
     Ranking,
     ValidationError,
     build_schedule,
-    prefix_counts,
     ranking_from_flags,
     read_ranking_csv,
     validate_ranking,
     validation_errors,
     write_ranking_csv,
 )
+
+from conftest import prefix_counts
 
 
 class TestBuildSchedule:
