@@ -25,7 +25,7 @@ from rankfair.fairopt import (
     write_trace_csv,
 )
 from rankfair.measures import MeasureKind, measure_from_flags
-from rankfair.ranking import Item, Ranking, write_ranking_csv
+from rankfair.ranking import Ranking, rank_by_score, write_ranking_csv
 
 
 def biased_dataset(n: int, m: int, n_plus: int, seed: int) -> FeatureMatrix:
@@ -43,19 +43,7 @@ def biased_dataset(n: int, m: int, n_plus: int, seed: int) -> FeatureMatrix:
 
 
 def score_ranking(features: FeatureMatrix) -> Ranking:
-    order = sorted(
-        range(features.n), key=lambda r: (-features.y[r], features.ids[r])
-    )
-    return Ranking(
-        items=tuple(
-            Item(
-                id=features.ids[r],
-                protected=bool(features.protected[r]),
-                score=float(features.y[r]),
-            )
-            for r in order
-        )
-    )
+    return rank_by_score(features.ids, features.protected, features.y)
 
 
 def main() -> None:
@@ -79,7 +67,7 @@ def main() -> None:
 
     features = biased_dataset(args.n, args.m, args.n_plus, args.data_seed)
     before = score_ranking(features)
-    before_rkl = measure_from_flags(MeasureKind.RKL, before.protected_flags())
+    before_rkl = measure_from_flags(MeasureKind.RKL, before.flags)
 
     hyper = Hyperparams(
         a_x=args.ax,
@@ -92,7 +80,7 @@ def main() -> None:
     )
     model, traces = train(features, hyper)
     _, after = apply_model(features, model)
-    after_rkl = measure_from_flags(MeasureKind.RKL, after.protected_flags())
+    after_rkl = measure_from_flags(MeasureKind.RKL, after.flags)
 
     write_ranking_csv(before, out_dir / "optimize_before.csv")
     write_ranking_csv(after, out_dir / "optimize_after.csv")

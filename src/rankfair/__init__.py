@@ -4,14 +4,12 @@ optimizer."""
 
 from .ranking import (
     CutoffSchedule,
-    Item,
     Ranking,
     RankingFormatError,
     ValidationError,
     build_schedule,
     ranking_from_flags,
     read_ranking_csv,
-    validate_ranking,
     write_ranking_csv,
 )
 from .measures import (

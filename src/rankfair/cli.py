@@ -169,13 +169,11 @@ def cmd_optimize(args) -> int:
             raise ingest.UnknownColumnError(name)
         if table.is_numeric(name):
             ingest.require_finite(table, name)
-    x = np.column_stack(
-        [ingest.minmax_normalize(table.column(c)) for c in feature_cols]
-    )
+    # the table keeps each normalized column, so a score column is normalized once
     features = fairopt.FeatureMatrix(
-        x=x,
-        protected=np.asarray(protected, dtype=bool),
-        y=np.asarray(ingest.minmax_normalize(scores)),
+        x=np.column_stack([table.normalized(c) for c in feature_cols]),
+        protected=protected,
+        y=ingest.minmax_normalize(scores),
         ids=table.row_ids,
     )
     hyper = fairopt.Hyperparams(

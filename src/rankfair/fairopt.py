@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, measure_from_flags
-from .ranking import Item, Ranking
+from .measures import MeasureKind, normalizers, values_from_counts
+from .ranking import Ranking, build_schedule, id_rank, rank_by_score, rank_order
 
 
 class DivergenceError(RuntimeError):
@@ -235,58 +235,50 @@ def accuracy_score_diff(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.mean(np.abs(y - np.clip(y_hat, 0.0, 1.0))))
 
 
-def _id_rank(ids: Sequence[str]) -> np.ndarray:
-    """Each row's position among the ids in Python string order (equal ids
-    keep their row order)."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
-
-
-def _rank_order(y_hat: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """Row indices by descending score, ties broken by ascending id."""
-    return np.lexsort((id_rank, -y_hat))
-
-
 def apply_model(
     features: FeatureMatrix, model: PrototypeModel
 ) -> tuple[np.ndarray, Ranking]:
     """Estimated scores and the ranking they induce (descending score,
     ascending-id tie break)."""
     y_hat = soft_assignments(features, model) @ model.score_weights
-    order = _rank_order(y_hat, _id_rank(features.ids))
-    items = tuple(
-        Item(
-            id=features.ids[r],
-            protected=bool(features.protected[r]),
-            score=float(y_hat[r]),
-        )
-        for r in order.tolist()
-    )
-    return y_hat, Ranking(items=items)
+    return y_hat, rank_by_score(features.ids, features.protected, y_hat)
+
+
+class _TraceScale(NamedTuple):
+    """What the trace measures need that is fixed for one training run."""
+
+    id_ranks: np.ndarray
+    cutoffs: np.ndarray
+    n_plus: int
+    zs: dict
 
 
 def _trace(
     features: FeatureMatrix,
     hyper: Hyperparams,
     fwd: _Forward,
-    id_rank: np.ndarray,
+    scale: _TraceScale,
     iteration: int,
-    step: int,
 ) -> TraceRecord:
     l_x, l_y, l_z = _losses(features, fwd)
     total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-    flags = features.protected[_rank_order(fwd.y_hat, id_rank)]
-    rrd_ok = 2 * int(flags.sum()) <= flags.size
+    flags = features.protected[rank_order(fwd.y_hat, scale.id_ranks)]
+    counts = np.cumsum(flags)[scale.cutoffs - 1]
+    values = {
+        kind: values_from_counts(
+            kind, scale.cutoffs, counts, features.n, scale.n_plus, z
+        )[0]
+        for kind, z in scale.zs.items()
+    }
     return TraceRecord(
         iteration=iteration,
         total=total,
         l_x=l_x,
         l_y=l_y,
         l_z=l_z,
-        rnd=measure_from_flags(MeasureKind.RND, flags, step),
-        rkl=measure_from_flags(MeasureKind.RKL, flags, step),
-        rrd=measure_from_flags(MeasureKind.RRD, flags, step) if rrd_ok else None,
+        rnd=values[MeasureKind.RND],
+        rkl=values[MeasureKind.RKL],
+        rrd=values.get(MeasureKind.RRD),
         score_diff=accuracy_score_diff(features.y, fwd.y_hat),
     )
 
@@ -304,14 +296,20 @@ def train(
     v = features.x[idx].copy()
     w = np.full(hyper.k, 0.5)
 
-    id_rank = _id_rank(features.ids)
+    n_plus = int(np.count_nonzero(features.protected))
+    scale = _TraceScale(
+        id_ranks=id_rank(features.ids),
+        cutoffs=np.asarray(build_schedule(features.n, step).cutoffs),
+        n_plus=n_plus,
+        zs=normalizers(features.n, n_plus, step),
+    )
     traces: list[TraceRecord] = []
     prev_total: Optional[float] = None
     for it in range(hyper.max_iters):
         model = PrototypeModel(prototypes=v, score_weights=w)
         # one forward pass feeds the trace record and the gradient step
         fwd = _forward(features, model)
-        rec = _trace(features, hyper, fwd, id_rank, it, step)
+        rec = _trace(features, hyper, fwd, scale, it)
         if not np.isfinite(rec.total):
             raise DivergenceError(it)
         traces.append(rec)

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, _discounted_terms, normalizer
-from .ranking import Item, Ranking, build_schedule, validate_ranking
+from .measures import MeasureKind, normalizers, values_from_counts
+from .ranking import Ranking, build_schedule
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,12 @@ def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
 def generate_unfair(base: Ranking, config: GeneratorConfig) -> Ranking:
     """Biased merge of the base ranking's group subsequences; a permutation
     of the base that never reorders two items of the same group."""
-    validate_ranking(base)
-    order = merge_order(base.protected_flags(), config.fairness_probability, config.seed)
-    return Ranking(items=tuple(base.items[i] for i in order))
+    order = merge_order(base.flags, config.fairness_probability, config.seed)
+    return Ranking(
+        ids=[base.ids[i] for i in order.tolist()],
+        flags=base.flags[order],
+        scores=None if base.scores is None else base.scores[order],
+    )
 
 
 def _base_permutation(n: int, n_plus: int, seed: int) -> np.ndarray:
@@ -87,13 +90,10 @@ def _base_permutation(n: int, n_plus: int, seed: int) -> np.ndarray:
 def random_base_ranking(n: int, n_plus: int, seed: int) -> Ranking:
     """Uniform random permutation of n items, n_plus of them protected.
     Protected ids are p1..p{n_plus}, the rest q1..q{n - n_plus}."""
+    perm = _base_permutation(n, n_plus, seed)
     return Ranking(
-        items=tuple(
-            Item(id=f"p{k + 1}", protected=True)
-            if k < n_plus
-            else Item(id=f"q{k - n_plus + 1}", protected=False)
-            for k in _base_permutation(n, n_plus, seed).tolist()
-        )
+        ids=[f"p{k + 1}" if k < n_plus else f"q{k - n_plus + 1}" for k in perm.tolist()],
+        flags=perm < n_plus,
     )
 
 
@@ -127,8 +127,7 @@ def sweep(
     bases = [_base_permutation(n, n_plus, seed) < n_plus for seed in seeds]
     for f in f_grid:
         _check_probability(f)
-    kinds = list(MeasureKind) if 2 * n_plus <= n else [MeasureKind.RND, MeasureKind.RKL]
-    zs = {kind: normalizer(kind, n, n_plus, step) for kind in kinds}
+    zs = normalizers(n, n_plus, step)
     cutoffs = np.asarray(build_schedule(n, step).cutoffs)
 
     rows = []
@@ -139,12 +138,8 @@ def sweep(
                 for base, seed in zip(bases, seeds)
             ]
         )
-        # each row summed left to right, as measure_from_flags does
         values = {
-            kind: [
-                sum(row) / z if z != 0.0 else 0.0
-                for row in _discounted_terms(kind, cutoffs, counts, n, n_plus).tolist()
-            ]
+            kind: values_from_counts(kind, cutoffs, counts, n, n_plus, z)
             for kind, z in zs.items()
         }
         rrds = values.get(MeasureKind.RRD, [None] * len(seeds))

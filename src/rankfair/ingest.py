@@ -1,26 +1,25 @@
-"""Tabular dataset loading, protected-group derivation and score-based
-ranking.
+"""Tabular datasets: loading, protected-group derivation and score-based ranking.
 
-Columns are typed numeric when every value parses as a number, categorical
-otherwise. Missing values are a hard error unless rows are explicitly
-dropped; nothing is imputed. Ranking order is descending score with ties
-broken by ascending row id, so repeated runs are byte-identical.
+Columns are arrays, typed once at load time: float64 when every value parses
+with Python's ``float()``, else strings. A missing value is an error unless its
+row is dropped; nothing is imputed. Rows rank by descending score, ties broken
+by ascending row id, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .ranking import Item, Ranking, validate_ranking
+import numpy as np
+
+from .ranking import Ranking, duplicates, open_csv, rank_by_score
 
 
 class TableLoadError(ValueError):
-    """File missing, ragged, duplicate ids, a missing cell or a non-finite
-    number in a column that is used."""
+    """File missing, ragged, duplicate ids, no data rows, a missing cell or a
+    non-finite number in a column that is used."""
 
 
 class UnknownColumnError(KeyError):
@@ -35,22 +34,28 @@ class SpecError(ValueError):
 class DatasetTable:
     columns: tuple[str, ...]
     row_ids: tuple[str, ...]
-    # numeric columns hold floats, categorical columns hold strings
-    data: dict[str, list]
+    # read-only columns: float64 when numeric, object (str) when categorical
+    data: dict[str, np.ndarray]
     dropped_rows: tuple[str, ...] = ()
+    _normalized: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_ids)
-
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> np.ndarray:
         if name not in self.data:
             raise UnknownColumnError(name)
         return self.data[name]
 
     def is_numeric(self, name: str) -> bool:
-        col = self.column(name)
-        return all(isinstance(v, float) for v in col)
+        return self.column(name).dtype == np.float64
+
+    def normalized(self, name: str) -> np.ndarray:
+        """The column min-max scaled to [0, 1], computed once per table."""
+        if not self.is_numeric(name):
+            raise SpecError(
+                f"min-max normalization needs a numeric column, {name!r} is not"
+            )
+        if name not in self._normalized:
+            self._normalized[name] = minmax_normalize(self.column(name))
+        return self._normalized[name]
 
 
 @dataclass(frozen=True)
@@ -83,142 +88,110 @@ class ScoreSpec:
 
 
 def load_table(
-    path: str | Path,
-    row_id_column: Optional[str] = None,
-    drop_incomplete_rows: bool = False,
+    path: str | Path, row_id_column: Optional[str] = None, drop_incomplete_rows: bool = False
 ) -> DatasetTable:
-    """Load a headered CSV. Without ``row_id_column`` rows are numbered from
-    1 in file order."""
+    """Load a headered CSV; without ``row_id_column`` rows are numbered from 1."""
     path = Path(path)
-    if not path.exists():
-        raise TableLoadError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableLoadError(f"{path}: empty file") from None
+    with open_csv(path, TableLoadError) as (header, reader):
         if row_id_column is not None and row_id_column not in header:
             raise UnknownColumnError(row_id_column)
-        raw_rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise TableLoadError(
-                    f"{path}:{lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            raw_rows.append((lineno, row))
-
-    kept, dropped = [], []
-    for lineno, row in raw_rows:
-        missing = [header[j] for j, v in enumerate(row) if v == ""]
-        if missing:
-            if drop_incomplete_rows:
-                dropped.append(f"line {lineno}")
-                continue
-            raise TableLoadError(
-                f"{path}:{lineno}: missing value in column {missing[0]!r}"
-            )
-        kept.append((lineno, row))
-
+        rows = list(reader)
+    ragged = [r for r, row in enumerate(rows) if len(row) != len(header)]
+    if ragged:
+        r = ragged[0]
+        raise TableLoadError(
+            f"{path}:{r + 2}: expected {len(header)} fields, got {len(rows[r])}"
+        )
+    kept, dropped = [row for row in rows if "" not in row], []
+    if len(kept) < len(rows):
+        incomplete = [r for r, row in enumerate(rows) if "" in row]
+        if not drop_incomplete_rows:
+            r = incomplete[0]
+            missing = header[rows[r].index("")]
+            raise TableLoadError(f"{path}:{r + 2}: missing value in column {missing!r}")
+        dropped = [f"line {r + 2}" for r in incomplete]
+    if not kept:
+        raise TableLoadError(f"{path}: no data rows")
+    cols = list(zip(*kept))
     if row_id_column is not None:
-        id_pos = header.index(row_id_column)
-        row_ids = [row[id_pos] for _, row in kept]
+        row_ids = cols[header.index(row_id_column)]
     else:
-        row_ids = [str(i + 1) for i in range(len(kept))]
-    seen: set[str] = set()
-    for rid in row_ids:
-        if rid in seen:
-            raise TableLoadError(f"{path}: duplicate row id {rid!r}")
-        seen.add(rid)
+        row_ids = tuple(str(i) for i in range(1, len(kept) + 1))
+    repeated = duplicates(row_ids)
+    if repeated:
+        raise TableLoadError(f"{path}: duplicate row id {repeated[0]!r}")
 
-    data: dict[str, list] = {}
-    for j, name in enumerate(header):
-        raw = [row[j] for _, row in kept]
+    data = {}
+    for name, col in zip(header, cols):
         try:
-            data[name] = [float(v) for v in raw]
+            data[name] = np.fromiter(map(float, col), dtype=float, count=len(col))
         except ValueError:
-            data[name] = raw
-    return DatasetTable(
-        columns=tuple(header),
-        row_ids=tuple(row_ids),
-        data=data,
-        dropped_rows=tuple(dropped),
-    )
+            data[name] = np.array(col, dtype=object)
+        data[name].flags.writeable = False
+    return DatasetTable(tuple(header), row_ids, data, tuple(dropped))
 
 
 def require_finite(table: DatasetTable, name: str) -> None:
     """Reject ``nan``/``inf`` in a numeric column, naming the first offending
-    row id. ``float()`` parses both, and either one silently breaks the
-    score sort or the threshold test."""
-    col = table.column(name)
-    # nan and inf always make the sum non-finite; an overflowing sum of
-    # finite values only costs the scan below, which then finds nothing
-    if math.isfinite(sum(col)):
-        return
-    for rid, v in zip(table.row_ids, col):
-        if not math.isfinite(v):
-            raise TableLoadError(
-                f"column {name!r} has non-finite value {v!r} at row id {rid!r}"
-            )
+    row id: either one silently breaks the score sort or the threshold test."""
+    finite = np.isfinite(table.column(name))
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise TableLoadError(
+            f"column {name!r} has non-finite value {float(table.column(name)[r])!r} "
+            f"at row id {table.row_ids[r]!r}"
+        )
 
 
-def derive_protected(
-    table: DatasetTable, spec: ProtectedSpec
-) -> tuple[list[bool], float]:
+def derive_protected(table: DatasetTable, spec: ProtectedSpec) -> tuple[np.ndarray, float]:
     """Per-row protected flags and the protected proportion."""
-    col = table.column(spec.column)
+    col, target = table.column(spec.column), spec.value
+    if spec.predicate not in ("less_than", "equals"):
+        raise SpecError(f"unknown predicate {spec.predicate!r}")
     if spec.predicate == "less_than":
         if not table.is_numeric(spec.column):
-            raise SpecError(
-                f"less_than needs a numeric column, {spec.column!r} is not"
-            )
+            raise SpecError(f"less_than needs a numeric column, {spec.column!r} is not")
         require_finite(table, spec.column)
-        flags = [v < spec.value for v in col]
-    elif spec.predicate == "equals":
-        target = spec.value
-        if table.is_numeric(spec.column):
+    elif table.is_numeric(spec.column):
+        try:
             target = float(target)  # type: ignore[arg-type]
-        flags = [v == target for v in col]
-    else:
-        raise SpecError(f"unknown predicate {spec.predicate!r}")
-    return flags, sum(flags) / len(flags)
+        except ValueError:
+            raise SpecError(
+                f"equals needs a number for numeric column {spec.column!r}, got {target!r}"
+            ) from None
+    flags = col < target if spec.predicate == "less_than" else col == target
+    return flags, int(np.count_nonzero(flags)) / flags.size
 
 
-def minmax_normalize(values: Sequence[float]) -> list[float]:
+def minmax_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Scale to [0, 1]; a constant column maps to all zeros."""
-    if not all(isinstance(v, float) for v in values):
+    values = np.asarray(values)
+    if values.dtype != np.float64:
         raise SpecError("min-max normalization needs a numeric column")
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
-        return [0.0] * len(values)
-    return [(v - lo) / (hi - lo) for v in values]
+        return np.zeros(values.size)
+    if np.isinf(hi - lo):  # the range overflows; halving is exact at this magnitude
+        values, lo, hi = values / 2, lo / 2, hi / 2
+    return (values - lo) / (hi - lo)
 
 
-def compute_scores(table: DatasetTable, spec: ScoreSpec) -> list[float]:
+def compute_scores(table: DatasetTable, spec: ScoreSpec) -> np.ndarray:
     for name in spec.columns:
-        if name not in table.data:
-            raise UnknownColumnError(name)
         if not table.is_numeric(name):
             raise SpecError(f"score column {name!r} is not numeric")
         require_finite(table, name)
     if spec.mode == "single_attribute":
-        return list(table.column(spec.columns[0]))
-    normalized = [minmax_normalize(table.column(c)) for c in spec.columns]
-    k = len(normalized)
-    return [sum(col[r] for col in normalized) / k for r in range(table.n_rows)]
+        return table.column(spec.columns[0])
+    # starting from +0.0, like the per-row sum did, a -0.0 term adds up to +0.0
+    total = np.zeros(len(table.row_ids))
+    for name in spec.columns:
+        total += table.normalized(name)
+    return total / len(spec.columns)
 
 
 def score_and_rank(
     table: DatasetTable, score_spec: ScoreSpec, protected: Sequence[bool]
 ) -> Ranking:
     """Rank rows by descending score, ties broken by ascending row id."""
-    scores = compute_scores(table, score_spec)
-    order = sorted(
-        range(table.n_rows), key=lambda r: (-scores[r], table.row_ids[r])
-    )
-    items = tuple(
-        Item(id=table.row_ids[r], protected=bool(protected[r]), score=scores[r])
-        for r in order
-    )
-    return validate_ranking(Ranking(items=items))
+    return rank_by_score(table.row_ids, protected, compute_scores(table, score_spec))

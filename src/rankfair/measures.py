@@ -25,14 +25,12 @@ crowded to the top) values above 1 are possible and are reported as computed.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .ranking import Ranking, build_schedule, validate_ranking
+from .ranking import Ranking, build_schedule
 
 _TINY = np.finfo(float).tiny
 
@@ -150,22 +148,6 @@ def _discounted_terms(
     return _term_values(kind, cutoffs, counts, n, n_plus) / np.log2(cutoffs)
 
 
-_normalizer_lock = threading.Lock()
-
-
-@lru_cache(maxsize=None)
-def _normalizer_cached(kind: MeasureKind, n: int, n_plus: int, step: int) -> float:
-    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
-    extremes = np.stack(
-        [np.maximum(0, cutoffs - (n - n_plus)), np.minimum(cutoffs, n_plus)]
-    )
-    rows = _discounted_terms(kind, cutoffs, extremes, n, n_plus).tolist()
-    protected_last, protected_first = (sum(row) for row in rows)
-    if kind is MeasureKind.RRD:
-        return protected_last
-    return max(protected_first, protected_last)
-
-
 def normalizer(
     kind: MeasureKind,
     n: int,
@@ -181,16 +163,48 @@ def normalizer(
     sum (see the module docstring for how far this is checked against the
     exact maximum); rRD takes the protected-last sum. Returns 0.0 in the
     trivial single-cutoff case n <= step, where the only cutoff is the whole
-    ranking and every ranking scores 0. Results are cached per key: a sweep
-    asks for the same few keys hundreds of times.
+    ranking and every ranking scores 0.
     """
     _check_group(n, n_plus)
     if kind is MeasureKind.RRD and 2 * n_plus > n and not allow_majority_rrd:
         raise RrdInapplicableError(
             f"rRD needs a minority protected group (n_plus={n_plus}, n={n})"
         )
-    with _normalizer_lock:
-        return _normalizer_cached(kind, n, n_plus, step)
+    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
+    extremes = np.stack(
+        [np.maximum(0, cutoffs - (n - n_plus)), np.minimum(cutoffs, n_plus)]
+    )
+    rows = _discounted_terms(kind, cutoffs, extremes, n, n_plus).tolist()
+    protected_last, protected_first = (sum(row) for row in rows)
+    if kind is MeasureKind.RRD:
+        return protected_last
+    return max(protected_first, protected_last)
+
+
+def normalizers(n: int, n_plus: int, step: int = 10) -> dict[MeasureKind, float]:
+    """The normalizer of every measure that applies to these group sizes:
+    rND and rKL, and rRD when the protected group is not the majority."""
+    kinds = list(MeasureKind) if 2 * n_plus <= n else [MeasureKind.RND, MeasureKind.RKL]
+    return {kind: normalizer(kind, n, n_plus, step) for kind in kinds}
+
+
+def values_from_counts(
+    kind: MeasureKind,
+    cutoffs: np.ndarray,
+    counts: np.ndarray,
+    n: int,
+    n_plus: int,
+    z: float,
+) -> list[float]:
+    """Measure values of rankings from their prefix counts at ``cutoffs``,
+    one row of ``counts`` per ranking, and the normalizer ``z``: each row's
+    discounted terms summed left to right and divided by ``z`` (every value
+    is 0.0 when ``z`` is 0)."""
+    counts = np.atleast_2d(counts)
+    if z == 0.0:
+        return [0.0] * counts.shape[0]
+    rows = _discounted_terms(kind, cutoffs, counts, n, n_plus).tolist()
+    return [sum(row) / z for row in rows]
 
 
 def measure_from_flags(
@@ -200,16 +214,14 @@ def measure_from_flags(
     allow_majority_rrd: bool = False,
 ) -> float:
     """Measure a ranking given only its protected-flag sequence in rank
-    order. Vectorized over cutoffs; the hot path for sweeps and fuzzing."""
+    order. Vectorized over cutoffs."""
     flags = np.asarray(flags, dtype=bool)
     n = int(flags.size)
     n_plus = int(flags.sum())
     z = normalizer(kind, n, n_plus, step, allow_majority_rrd)
-    if z == 0.0:
-        return 0.0
     cutoffs = np.asarray(build_schedule(n, step).cutoffs)
-    c = np.cumsum(flags)[cutoffs - 1]
-    return sum(_discounted_terms(kind, cutoffs, c, n, n_plus).tolist()) / z
+    counts = np.cumsum(flags)[cutoffs - 1]
+    return values_from_counts(kind, cutoffs, counts, n, n_plus, z)[0]
 
 
 def measure(
@@ -219,10 +231,7 @@ def measure(
     allow_majority_rrd: bool = False,
 ) -> float:
     """One fairness measure of a ranking; 0 is most fair."""
-    validate_ranking(ranking)
-    return measure_from_flags(
-        kind, ranking.protected_flags(), step, allow_majority_rrd
-    )
+    return measure_from_flags(kind, ranking.flags, step, allow_majority_rrd)
 
 
 @dataclass(frozen=True)
@@ -251,18 +260,15 @@ class FairnessReport:
 def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     """All three measures plus per-cutoff diagnostics. rRD is reported as
     None (not raised) when the protected group is the majority."""
-    validate_ranking(ranking)
-    flags = ranking.protected_flags()
-    n, n_plus = int(flags.size), int(flags.sum())
+    n, n_plus = ranking.n, ranking.n_plus
     cutoffs = np.asarray(build_schedule(n, step).cutoffs)
-    c = np.cumsum(flags)[cutoffs - 1]
+    c = np.cumsum(ranking.flags)[cutoffs - 1]
 
-    kinds = list(MeasureKind) if 2 * n_plus <= n else [MeasureKind.RND, MeasureKind.RKL]
     values: list[Optional[float]] = [None] * 3
     zs: list[Optional[float]] = [None] * 3
     rows: list[list] = [[None] * cutoffs.size] * 3
-    for j, kind in enumerate(kinds):
-        zs[j] = z = normalizer(kind, n, n_plus, step)
+    for j, (kind, z) in enumerate(normalizers(n, n_plus, step).items()):
+        zs[j] = z
         rows[j] = _discounted_terms(kind, cutoffs, c, n, n_plus).tolist()
         values[j] = sum(rows[j]) / z if z != 0.0 else 0.0
     return FairnessReport(

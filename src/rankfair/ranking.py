@@ -1,25 +1,25 @@
 """Rankings with binary protected-group flags and cutoff schedules.
 
-Position 1 is the best position. All types are immutable after construction
-and all functions are pure, so values can be shared freely.
+A ranking is three parallel columns in rank order (ids, protected flags,
+optional scores), validated once when built and read-only after; position 1 is
+the best. Ingest and the optimizer order rows by one routine.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 
 class ValidationError(ValueError):
-    """A ranking violates one or more structural invariants.
-
-    ``errors`` lists every violation found, not just the first.
-    """
+    """A ranking violates structural invariants; ``errors`` lists all of them."""
 
     def __init__(self, errors: Sequence[str]):
         super().__init__("; ".join(errors))
@@ -30,35 +30,64 @@ class RankingFormatError(ValueError):
     """A ranking CSV file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class Item:
-    id: str
-    protected: bool
-    score: Optional[float] = None
+def duplicates(ids: Sequence[str]) -> list[str]:
+    """Every id equal to an earlier one, in order."""
+    if len(set(ids)) == len(ids):
+        return []
+    seen: set[str] = set()
+    return [rid for rid in ids if rid in seen or seen.add(rid)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
-    """An ordered sequence of items; ``items[0]`` sits at position 1."""
+    """Parallel columns in rank order, ``ids[0]`` at position 1; ``scores`` is
+    None or holds NaN for an item without one. Raises :class:`ValidationError`,
+    listing every violation, unless n >= 2 and the ids are unique."""
 
-    items: tuple[Item, ...]
+    ids: tuple[str, ...]
+    flags: np.ndarray
+    scores: Optional[np.ndarray] = None
+    n_plus: int = field(init=False)
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        errors = [f"n < 2 (got {len(ids)})"] if len(ids) < 2 else []
+        errors += [f"duplicate id {rid!r}" for rid in duplicates(ids)]
+        if errors:
+            raise ValidationError(errors)
+        flags = np.array(self.flags, dtype=bool)
+        scores = None if self.scores is None else np.array(self.scores, dtype=float)
+        if flags.shape != (len(ids),) or scores is not None and scores.shape != (len(ids),):
+            raise ValueError("ids, flags and scores must have one entry per item")
+        for name, value in [("ids", ids), ("flags", flags), ("scores", scores)]:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_plus", int(np.count_nonzero(flags)))
 
     @property
     def n(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
-    @property
-    def n_plus(self) -> int:
-        return sum(1 for it in self.items if it.protected)
 
-    @property
-    def n_minus(self) -> int:
-        return self.n - self.n_plus
+def id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position among the ids in Python string order (equal ids
+    keep their row order)."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
-    def protected_flags(self) -> np.ndarray:
-        return np.fromiter(
-            (it.protected for it in self.items), dtype=bool, count=self.n
-        )
+
+def rank_order(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
+    """Row indices by descending score, ties broken by ascending id."""
+    return np.lexsort((id_ranks, -scores))
+
+
+def rank_by_score(ids: Sequence[str], flags: Sequence[bool], scores: np.ndarray) -> Ranking:
+    """The ranking of rows by descending score, ties broken by ascending id."""
+    order = rank_order(scores, id_rank(ids))
+    ranked_ids = [ids[r] for r in order.tolist()]
+    return Ranking(ranked_ids, np.asarray(flags)[order], scores[order])
 
 
 @dataclass(frozen=True)
@@ -82,86 +111,83 @@ def build_schedule(n: int, step: int = 10) -> CutoffSchedule:
     return CutoffSchedule(step=step, cutoffs=tuple(cutoffs))
 
 
-def validation_errors(ranking: Ranking) -> list[str]:
-    errors = []
-    if ranking.n < 2:
-        errors.append(f"n < 2 (got {ranking.n})")
-    seen: set[str] = set()
-    for it in ranking.items:
-        if it.id in seen:
-            errors.append(f"duplicate id {it.id!r}")
-        seen.add(it.id)
-    return errors
-
-
-def validate_ranking(ranking: Ranking) -> Ranking:
-    """Return the ranking unchanged if well formed, else raise
-    :class:`ValidationError` listing every violation."""
-    errors = validation_errors(ranking)
-    if errors:
-        raise ValidationError(errors)
-    return ranking
-
-
-def _format_score(score: Optional[float]) -> str:
-    return "" if score is None else f"{score:.6f}"
+@contextmanager
+def open_csv(path: Path, error: type[Exception]) -> Iterator[tuple[list, Iterator[list]]]:
+    """The header of a CSV file and a reader of its other rows; ``error`` is
+    raised when the file is missing or empty."""
+    if not path.exists():
+        raise error(f"no such file: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        yield header, reader
 
 
 def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
     """Write the ranking CSV format: header ``id,protected,score``, rows in
     rank order, UTF-8, LF line endings."""
+    scores = [""] * ranking.n
+    if ranking.scores is not None:
+        scores = ["" if s != s else f"{s:.6f}" for s in ranking.scores.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "protected", "score"])
-        for it in ranking.items:
-            writer.writerow([it.id, int(it.protected), _format_score(it.score)])
+        writer.writerows(zip(ranking.ids, ranking.flags.view(np.uint8).tolist(), scores))
 
 
 def read_ranking_csv(path: str | Path) -> Ranking:
+    """Read the ranking CSV format. Columns are filled in bulk, a block of rows
+    at a time, so a large file is never held as row lists all at once; rows are
+    parsed one by one only when a bulk check fails."""
     path = Path(path)
-    if not path.exists():
-        raise RankingFormatError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RankingFormatError(f"{path}: empty file") from None
+    ids, flags, scores, lineno = [], [np.empty(0, bool)], [np.empty(0)], 2
+    with open_csv(path, RankingFormatError) as (header, reader):
         if header[:2] != ["id", "protected"]:
             raise RankingFormatError(
                 f"{path}: expected header id,protected[,score], got {header}"
             )
         has_score = len(header) > 2 and header[2] == "score"
-        items = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise RankingFormatError(f"{path}:{lineno}: too few fields")
-            if row[1] not in ("0", "1"):
-                raise RankingFormatError(
-                    f"{path}:{lineno}: protected must be 0 or 1, got {row[1]!r}"
-                )
-            score: Optional[float] = None
-            if has_score and len(row) > 2 and row[2] != "":
-                try:
-                    score = float(row[2])
-                except ValueError:
-                    raise RankingFormatError(
-                        f"{path}:{lineno}: bad score {row[2]!r}"
-                    ) from None
-                if not math.isfinite(score):
-                    raise RankingFormatError(
-                        f"{path}:{lineno}: non-finite score {row[2]!r}"
-                    )
-            items.append(Item(id=row[0], protected=row[1] == "1", score=score))
-    return validate_ranking(Ranking(items=tuple(items)))
+        while rows := list(itertools.islice(reader, 1 << 12)):
+            try:
+                # a short row, a bad flag or score, or an empty score takes the row scan
+                valid_flags = {"0", "1"}.issuperset([row[1] for row in rows])
+                block = np.array([float(row[2]) for row in rows]) if has_score else None
+                if not valid_flags or has_score and not np.isfinite(block).all():
+                    raise ValueError("malformed row")
+            except (IndexError, ValueError):
+                block = _parse_rows(path, rows, has_score, lineno)
+            ids += [row[0] for row in rows]
+            flags.append(np.array([row[1] == "1" for row in rows], dtype=bool))
+            scores.append(block)
+            lineno += len(rows)
+    return Ranking(ids, np.concatenate(flags), np.concatenate(scores) if has_score else None)
+
+
+def _parse_rows(path: Path, rows: list[list[str]], has_score: bool, lineno: int) -> list:
+    """Scores parsed row by row (NaN when empty), raising for the first bad row."""
+    scores = []
+    for lineno, row in enumerate(rows, start=lineno):
+        if len(row) < 2:
+            raise RankingFormatError(f"{path}:{lineno}: too few fields")
+        if row[1] not in ("0", "1"):
+            raise RankingFormatError(
+                f"{path}:{lineno}: protected must be 0 or 1, got {row[1]!r}"
+            )
+        cell = row[2] if has_score and len(row) > 2 else ""
+        try:
+            scores.append(float(cell) if cell else math.nan)
+        except ValueError:
+            raise RankingFormatError(f"{path}:{lineno}: bad score {cell!r}") from None
+        if cell and not math.isfinite(scores[-1]):
+            raise RankingFormatError(f"{path}:{lineno}: non-finite score {cell!r}")
+    return scores
 
 
 def ranking_from_flags(
     flags: Iterable[bool], scores: Optional[Sequence[float]] = None
 ) -> Ranking:
     """Convenience constructor: items get ids ``r1, r2, ...`` in rank order."""
-    items = []
-    for pos, flag in enumerate(flags, start=1):
-        score = None if scores is None else float(scores[pos - 1])
-        items.append(Item(id=f"r{pos}", protected=bool(flag), score=score))
-    return Ranking(items=tuple(items))
+    flags = np.fromiter(flags, dtype=bool)
+    return Ranking([f"r{pos}" for pos in range(1, flags.size + 1)], flags, scores)

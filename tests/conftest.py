@@ -1,11 +1,26 @@
-from typing import Sequence
+import csv
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
 from rankfair.fairopt import FeatureMatrix
+from rankfair.ingest import (
+    ScoreSpec,
+    SpecError,
+    TableLoadError,
+    UnknownColumnError,
+)
 from rankfair.measures import MeasureKind, parity_term
-from rankfair.ranking import CutoffSchedule, Ranking
+from rankfair.ranking import (
+    CutoffSchedule,
+    Ranking,
+    RankingFormatError,
+    ValidationError,
+)
 
 
 def biased_feature_matrix(seed: int = 7) -> FeatureMatrix:
@@ -53,6 +68,235 @@ def prefix_counts(
         raise ValueError(
             f"cutoff {schedule.cutoffs[-1]} exceeds ranking length {ranking.n}"
         )
-    cum = np.cumsum(ranking.protected_flags())
+    cum = np.cumsum(ranking.flags)
     idx = np.asarray(schedule.cutoffs, dtype=int) - 1
     return tuple(zip(schedule.cutoffs, (int(c) for c in cum[idx])))
+
+
+# --- per-row references -------------------------------------------------------
+#
+# The per-row ``Item`` parsers and ranker that the columnar ``ranking`` and
+# ``ingest`` code replaced, kept verbatim as references. Two adaptations: a
+# ranking is returned as its validated tuple of ``Item``s, and the validation
+# is the old ``validation_errors`` loop over those items.
+
+
+@dataclass(frozen=True)
+class Item:
+    id: str
+    protected: bool
+    score: Optional[float] = None
+
+
+def reference_validation_errors(items: Sequence[Item]) -> list[str]:
+    errors = []
+    if len(items) < 2:
+        errors.append(f"n < 2 (got {len(items)})")
+    seen: set[str] = set()
+    for it in items:
+        if it.id in seen:
+            errors.append(f"duplicate id {it.id!r}")
+        seen.add(it.id)
+    return errors
+
+
+def reference_validate(items: Sequence[Item]) -> tuple[Item, ...]:
+    errors = reference_validation_errors(items)
+    if errors:
+        raise ValidationError(errors)
+    return tuple(items)
+
+
+def reference_read_ranking_csv(path) -> tuple[Item, ...]:
+    path = Path(path)
+    if not path.exists():
+        raise RankingFormatError(f"no such file: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise RankingFormatError(f"{path}: empty file") from None
+        if header[:2] != ["id", "protected"]:
+            raise RankingFormatError(
+                f"{path}: expected header id,protected[,score], got {header}"
+            )
+        has_score = len(header) > 2 and header[2] == "score"
+        items = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) < 2:
+                raise RankingFormatError(f"{path}:{lineno}: too few fields")
+            if row[1] not in ("0", "1"):
+                raise RankingFormatError(
+                    f"{path}:{lineno}: protected must be 0 or 1, got {row[1]!r}"
+                )
+            score: Optional[float] = None
+            if has_score and len(row) > 2 and row[2] != "":
+                try:
+                    score = float(row[2])
+                except ValueError:
+                    raise RankingFormatError(
+                        f"{path}:{lineno}: bad score {row[2]!r}"
+                    ) from None
+                if not math.isfinite(score):
+                    raise RankingFormatError(
+                        f"{path}:{lineno}: non-finite score {row[2]!r}"
+                    )
+            items.append(Item(id=row[0], protected=row[1] == "1", score=score))
+    return reference_validate(items)
+
+
+@dataclass(frozen=True)
+class ReferenceTable:
+    columns: tuple[str, ...]
+    row_ids: tuple[str, ...]
+    # numeric columns hold floats, categorical columns hold strings
+    data: dict[str, list]
+    dropped_rows: tuple[str, ...] = ()
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.row_ids)
+
+    def column(self, name: str) -> list:
+        if name not in self.data:
+            raise UnknownColumnError(name)
+        return self.data[name]
+
+    def is_numeric(self, name: str) -> bool:
+        col = self.column(name)
+        return all(isinstance(v, float) for v in col)
+
+
+def reference_load_table(
+    path, row_id_column: Optional[str] = None, drop_incomplete_rows: bool = False
+) -> ReferenceTable:
+    path = Path(path)
+    if not path.exists():
+        raise TableLoadError(f"no such file: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TableLoadError(f"{path}: empty file") from None
+        if row_id_column is not None and row_id_column not in header:
+            raise UnknownColumnError(row_id_column)
+        raw_rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise TableLoadError(
+                    f"{path}:{lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            raw_rows.append((lineno, row))
+
+    kept, dropped = [], []
+    for lineno, row in raw_rows:
+        missing = [header[j] for j, v in enumerate(row) if v == ""]
+        if missing:
+            if drop_incomplete_rows:
+                dropped.append(f"line {lineno}")
+                continue
+            raise TableLoadError(
+                f"{path}:{lineno}: missing value in column {missing[0]!r}"
+            )
+        kept.append((lineno, row))
+
+    if row_id_column is not None:
+        id_pos = header.index(row_id_column)
+        row_ids = [row[id_pos] for _, row in kept]
+    else:
+        row_ids = [str(i + 1) for i in range(len(kept))]
+    seen: set[str] = set()
+    for rid in row_ids:
+        if rid in seen:
+            raise TableLoadError(f"{path}: duplicate row id {rid!r}")
+        seen.add(rid)
+
+    data: dict[str, list] = {}
+    for j, name in enumerate(header):
+        raw = [row[j] for _, row in kept]
+        try:
+            data[name] = [float(v) for v in raw]
+        except ValueError:
+            data[name] = raw
+    return ReferenceTable(
+        columns=tuple(header),
+        row_ids=tuple(row_ids),
+        data=data,
+        dropped_rows=tuple(dropped),
+    )
+
+
+def reference_require_finite(table: ReferenceTable, name: str) -> None:
+    col = table.column(name)
+    if math.isfinite(sum(col)):
+        return
+    for rid, v in zip(table.row_ids, col):
+        if not math.isfinite(v):
+            raise TableLoadError(
+                f"column {name!r} has non-finite value {v!r} at row id {rid!r}"
+            )
+
+
+def reference_minmax_normalize(values: Sequence[float]) -> list[float]:
+    if not all(isinstance(v, float) for v in values):
+        raise SpecError("min-max normalization needs a numeric column")
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        return [0.0] * len(values)
+    return [(v - lo) / (hi - lo) for v in values]
+
+
+def reference_compute_scores(table: ReferenceTable, spec: ScoreSpec) -> list[float]:
+    for name in spec.columns:
+        if name not in table.data:
+            raise UnknownColumnError(name)
+        if not table.is_numeric(name):
+            raise SpecError(f"score column {name!r} is not numeric")
+        reference_require_finite(table, name)
+    if spec.mode == "single_attribute":
+        return list(table.column(spec.columns[0]))
+    normalized = [reference_minmax_normalize(table.column(c)) for c in spec.columns]
+    k = len(normalized)
+    return [sum(col[r] for col in normalized) / k for r in range(table.n_rows)]
+
+
+def reference_score_and_rank(
+    table: ReferenceTable, score_spec: ScoreSpec, protected: Sequence[bool]
+) -> tuple[Item, ...]:
+    scores = reference_compute_scores(table, score_spec)
+    order = sorted(
+        range(table.n_rows), key=lambda r: (-scores[r], table.row_ids[r])
+    )
+    items = tuple(
+        Item(id=table.row_ids[r], protected=bool(protected[r]), score=scores[r])
+        for r in order
+    )
+    return reference_validate(items)
+
+
+def ranking_rows(ranking: Ranking) -> list[tuple]:
+    """A ranking as (id, protected, score) rows, each score as ``float.hex``
+    (so -0.0 differs from 0.0) or None when absent."""
+    scores = [None] * ranking.n if ranking.scores is None else ranking.scores.tolist()
+    return [
+        (rid, flag, None if s is None or s != s else s.hex())
+        for rid, flag, s in zip(ranking.ids, ranking.flags.tolist(), scores)
+    ]
+
+
+def item_rows(items: Sequence[Item]) -> list[tuple]:
+    return [
+        (it.id, it.protected, None if it.score is None else it.score.hex())
+        for it in items
+    ]
+
+
+def outcome(fn, *args):
+    """``(result, None)``, or ``(None, (exception type, message))``."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the property compares any failure
+        return None, (type(exc), str(exc))

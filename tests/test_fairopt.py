@@ -21,6 +21,7 @@ from rankfair.fairopt import (
     write_trace_csv,
 )
 from rankfair.measures import MeasureKind, measure_from_flags
+from rankfair.ranking import ValidationError
 
 SOFT0 = 0.7310585786300049  # 1 / (1 + e^-1)
 SOFT1 = 0.2689414213699951  # e^-1 / (1 + e^-1)
@@ -299,7 +300,8 @@ def reference_train(features, hyper, step=10):
         model = PrototypeModel(prototypes=v, score_weights=w)
         l_x, l_y, l_z = losses(features, model)
         total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-        y_hat, _ = apply_model(features, model)
+        # apply_model's scores; its ranking rejects the duplicated ids
+        y_hat = soft_assignments(features, model) @ model.score_weights
         order = sorted(
             range(features.n), key=lambda r: (-y_hat[r], features.ids[r])
         )
@@ -378,21 +380,24 @@ class TestSharedForwardPass:
         model, _ = train(feats, Hyperparams(k=1, max_iters=5, seed=0))
         y_hat, ranked = apply_model(feats, model)
         assert np.all(y_hat == y_hat[0])
-        assert [it.id for it in ranked.items] == sorted(feats.ids)
+        assert list(ranked.ids) == sorted(feats.ids)
 
     def test_apply_model_matches_python_sort(self, biased_features):
         rng = np.random.default_rng(13)
-        for feats in self.id_variants(biased_features).values():
+        for name, feats in self.id_variants(biased_features).items():
             model = PrototypeModel(
                 prototypes=rng.random((4, feats.m)),
                 score_weights=np.round(rng.random(4), 1),
             )
+            if name == "duplicated":
+                with pytest.raises(ValidationError, match="duplicate id"):
+                    apply_model(feats, model)
+                continue
             y_hat, ranked = apply_model(feats, model)
             order = sorted(range(feats.n), key=lambda r: (-y_hat[r], feats.ids[r]))
-            assert [it.id for it in ranked.items] == [feats.ids[r] for r in order]
-            assert [it.protected for it in ranked.items] == [
-                bool(feats.protected[r]) for r in order
-            ]
+            assert list(ranked.ids) == [feats.ids[r] for r in order]
+            assert ranked.flags.tolist() == [bool(feats.protected[r]) for r in order]
+            assert ranked.scores.tolist() == [float(y_hat[r]) for r in order]
 
 
 class TestApplyModel:
@@ -403,7 +408,7 @@ class TestApplyModel:
         model = PrototypeModel(prototypes=[[0.0], [1.0]], score_weights=[0.5, 0.5])
         y_hat, ranked = apply_model(feats, model)
         assert np.allclose(y_hat, 0.5)
-        assert [it.id for it in ranked.items] == ["i0", "i1", "i2"]
+        assert ranked.ids == ("i0", "i1", "i2")
 
     def test_fixed_point_recovers_ground_truth_order(self):
         x = [[0.0], [10.0], [20.0], [30.0]]
@@ -411,7 +416,7 @@ class TestApplyModel:
         feats = feature_matrix(x, [True, False, True, False], y)
         model = PrototypeModel(prototypes=x, score_weights=y)
         _, ranked = apply_model(feats, model)
-        assert [it.id for it in ranked.items] == ["i3", "i2", "i1", "i0"]
+        assert ranked.ids == ("i3", "i2", "i1", "i0")
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(8)

@@ -15,21 +15,14 @@ from rankfair.generator import (
     write_sweep_csv,
 )
 from rankfair.measures import MeasureKind, measure_from_flags
-from rankfair.ranking import Item, Ranking
+from rankfair.ranking import Ranking
 
 
-BASE4 = Ranking(
-    items=(
-        Item("a", True),
-        Item("b", False),
-        Item("c", True),
-        Item("d", False),
-    )
-)
+BASE4 = Ranking(ids=("a", "b", "c", "d"), flags=[True, False, True, False])
 
 
 def ids(ranking):
-    return [it.id for it in ranking.items]
+    return list(ranking.ids)
 
 
 def reference_sweep(n, n_plus, f_grid, seeds, step=10):
@@ -42,7 +35,7 @@ def reference_sweep(n, n_plus, f_grid, seeds, step=10):
         for seed in seeds:
             base = random_base_ranking(n, n_plus, seed)
             out = generate_unfair(base, GeneratorConfig(f, seed))
-            flags = out.protected_flags()
+            flags = out.flags
             rows.append(
                 SweepRow(
                     f=f,
@@ -90,7 +83,7 @@ class TestGenerateUnfair:
         ]
 
     def test_merge_order_is_the_index_level_merge(self):
-        flags = BASE4.protected_flags()
+        flags = BASE4.flags
         assert merge_order(flags, 0.5, 42).tolist() == [1, 0, 3, 2]
         assert merge_order(np.zeros(3, dtype=bool), 0.5, 42).tolist() == [0, 1, 2]
 
@@ -114,16 +107,12 @@ class TestGenerateUnfair:
     )
     @settings(max_examples=300, deadline=None)
     def test_permutation_and_group_order_preserved(self, flags, f, seed):
-        base = Ranking(
-            items=tuple(
-                Item(f"k{i}", fl) for i, fl in enumerate(flags)
-            )
-        )
+        base = Ranking(ids=[f"k{i}" for i in range(len(flags))], flags=flags)
         out = generate_unfair(base, GeneratorConfig(f, seed))
         assert sorted(ids(out)) == sorted(ids(base))
         for group in (True, False):
-            base_order = [it.id for it in base.items if it.protected is group]
-            out_order = [it.id for it in out.items if it.protected is group]
+            base_order = [i for i, p in zip(base.ids, base.flags) if p == group]
+            out_order = [i for i, p in zip(out.ids, out.flags) if p == group]
             assert base_order == out_order
 
 
@@ -138,7 +127,7 @@ class TestRandomBaseRanking:
     def test_deterministic(self):
         a = random_base_ranking(30, 12, 9)
         b = random_base_ranking(30, 12, 9)
-        assert [it.id for it in a.items] == [it.id for it in b.items]
+        assert a.ids == b.ids
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
@@ -210,6 +199,6 @@ def test_monotone_protected_share_in_top_100():
         for seed in range(50):
             base = random_base_ranking(n, n_plus, seed)
             out = generate_unfair(base, GeneratorConfig(f, seed))
-            shares.append(out.protected_flags()[:top].mean())
+            shares.append(out.flags[:top].mean())
         means.append(np.mean(shares))
     assert all(b >= a for a, b in zip(means, means[1:]))

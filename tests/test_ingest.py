@@ -1,5 +1,18 @@
-import pytest
+import csv
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    item_rows,
+    outcome,
+    ranking_rows,
+    reference_load_table,
+    reference_score_and_rank,
+)
 from rankfair.ingest import (
     ProtectedSpec,
     ScoreSpec,
@@ -35,7 +48,7 @@ def small_table(tmp_path):
 class TestLoadTable:
     def test_numeric_typing(self, small_table):
         assert small_table.is_numeric("age")
-        assert small_table.column("age") == [20.0, 30.0, 40.0]
+        assert small_table.column("age").tolist() == [20.0, 30.0, 40.0]
         assert not small_table.is_numeric("gender")
 
     def test_missing_cell_is_an_error(self, tmp_path):
@@ -73,14 +86,14 @@ class TestDeriveProtected:
         flags, prop = derive_protected(
             small_table, ProtectedSpec.less_than("age", 25)
         )
-        assert flags == [True, False, False]
+        assert flags.tolist() == [True, False, False]
         assert prop == pytest.approx(1 / 3)
 
     def test_equals(self, small_table):
         flags, prop = derive_protected(
             small_table, ProtectedSpec.equals("gender", "F")
         )
-        assert flags == [True, False, True]
+        assert flags.tolist() == [True, False, True]
         assert prop == pytest.approx(2 / 3)
 
     def test_less_than_on_categorical(self, small_table):
@@ -94,17 +107,21 @@ class TestDeriveProtected:
 
 class TestMinmaxNormalize:
     def test_basic(self):
-        assert minmax_normalize([2.0, 4.0, 6.0]) == [0.0, 0.5, 1.0]
+        assert minmax_normalize([2.0, 4.0, 6.0]).tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_column(self):
-        assert minmax_normalize([5.0, 5.0, 5.0]) == [0.0, 0.0, 0.0]
+        assert minmax_normalize([5.0, 5.0, 5.0]).tolist() == [0.0, 0.0, 0.0]
 
     def test_negative_values(self):
-        assert minmax_normalize([-1.0, 0.0, 3.0]) == [0.0, 0.25, 1.0]
+        assert minmax_normalize([-1.0, 0.0, 3.0]).tolist() == [0.0, 0.25, 1.0]
 
     def test_non_numeric(self):
         with pytest.raises(SpecError):
             minmax_normalize(["a", "b"])
+
+    def test_range_beyond_float_max(self):
+        # hi - lo overflows; before, every value but the minimum became nan
+        assert minmax_normalize([1e308, -1e308, 0.0]).tolist() == [1.0, 0.0, 0.5]
 
 
 class TestScoreAndRank:
@@ -113,8 +130,8 @@ class TestScoreAndRank:
         table = load_table(path, row_id_column="id")
         flags, _ = derive_protected(table, ProtectedSpec.less_than("x", 15))
         rk = score_and_rank(table, ScoreSpec.single_attribute("x"), flags)
-        assert [it.id for it in rk.items] == ["b", "c", "a"]
-        assert rk.items[0].score == pytest.approx(30.0)
+        assert rk.ids == ("b", "c", "a")
+        assert rk.scores[0] == pytest.approx(30.0)
 
     def test_equal_weight_tie_break_by_id(self, tmp_path):
         path = write_csv(tmp_path, "id,x,y\na,1,0\nb,0,1\n")
@@ -122,9 +139,9 @@ class TestScoreAndRank:
         rk = score_and_rank(
             table, ScoreSpec.equal_weight_sum(["x", "y"]), [True, False]
         )
-        assert [it.id for it in rk.items] == ["a", "b"]
-        assert rk.items[0].score == pytest.approx(0.5)
-        assert rk.items[1].score == pytest.approx(0.5)
+        assert rk.ids == ("a", "b")
+        assert rk.scores[0] == pytest.approx(0.5)
+        assert rk.scores[1] == pytest.approx(0.5)
 
     def test_sum_over_one_column_matches_single(self, tmp_path):
         path = write_csv(tmp_path, "id,x\na,3\nb,9\nc,6\nd,1\n")
@@ -134,7 +151,7 @@ class TestScoreAndRank:
         summed = score_and_rank(
             table, ScoreSpec.equal_weight_sum(["x"]), flags
         )
-        assert [i.id for i in single.items] == [i.id for i in summed.items]
+        assert single.ids == summed.ids
 
     def test_order_invariant_to_monotone_transform(self, tmp_path):
         path = write_csv(tmp_path, "id,x,x3\na,2,8\nb,-1,-1\nc,3,27\n")
@@ -142,13 +159,13 @@ class TestScoreAndRank:
         flags = [False] * 3
         by_x = score_and_rank(table, ScoreSpec.single_attribute("x"), flags)
         by_x3 = score_and_rank(table, ScoreSpec.single_attribute("x3"), flags)
-        assert [i.id for i in by_x.items] == [i.id for i in by_x3.items]
+        assert by_x.ids == by_x3.ids
 
     def test_deterministic(self, small_table):
         spec = ScoreSpec.equal_weight_sum(["x", "y"])
         a = score_and_rank(small_table, spec, [True, False, True])
         b = score_and_rank(small_table, spec, [True, False, True])
-        assert [i.id for i in a.items] == [i.id for i in b.items]
+        assert a.ids == b.ids
 
     def test_equal_weight_scores_in_unit_interval(self, small_table):
         scores = compute_scores(small_table, ScoreSpec.equal_weight_sum(["age", "x"]))
@@ -180,6 +197,107 @@ class TestNonFiniteValues:
     def test_overflowing_finite_column_accepted(self, tmp_path):
         path = write_csv(tmp_path, "id,s\na,1e308\nb,1e308\nc,-1\n")
         table = load_table(path, row_id_column="id")
-        assert compute_scores(table, ScoreSpec.single_attribute("s")) == [
+        assert compute_scores(table, ScoreSpec.single_attribute("s")).tolist() == [
             1e308, 1e308, -1.0
         ]
+
+
+FINITE_TOKENS = [" 1", "1_0", "-0.0", "0", "1", "2.5", "-3", "1e2"]
+NUMERIC_TOKENS = FINITE_TOKENS + ["1e309", "nan"]
+TEXT_TOKENS = ["a", "b", " 1", "1"]
+ROW_IDS = ["r1", "r2", "r10", "2", "10", " 1", "a,b"]
+
+
+@st.composite
+def table_csv(draw):
+    """CSV text with 1-3 data columns, each numeric or text, and an optional
+    id column. Half the tables are clean: every cell present, every number
+    finite, every id unique. The rest draw ids with repeats, non-finite
+    numbers, and rare missing cells and ragged rows."""
+    faults = draw(st.booleans())
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    with_id = draw(st.booleans())
+    header = (["id"] if with_id else []) + [f"c{j}" for j in range(len(kinds))]
+    n = draw(st.integers(min_value=0 if faults else 2, max_value=12))
+    ids = draw(st.permutations(ROW_IDS + [f"x{j}" for j in range(12)]))
+    rows = []
+    for i in range(n):
+        row = [draw(st.sampled_from(ROW_IDS)) if faults else ids[i]] if with_id else []
+        for numeric in kinds:
+            pool = (NUMERIC_TOKENS if faults else FINITE_TOKENS) if numeric else TEXT_TOKENS
+            missing = faults and draw(st.integers(0, 9)) == 0
+            row.append("" if missing else draw(st.sampled_from(pool)))
+        shape = draw(st.integers(min_value=0, max_value=24)) if faults else 2
+        if shape == 0:
+            row.append("9")
+        elif shape == 1:
+            row.pop()
+        rows.append(row)
+    return header, rows
+
+
+class TestMatchesPerRowReference:
+    """The columnar ``load_table`` and ``score_and_rank`` return what the
+    per-row references in ``conftest`` return, or raise the same exception
+    type with the same message; a table left without data rows is now an
+    error of its own."""
+
+    @given(
+        text=table_csv(),
+        drop=st.booleans(),
+        single=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_load_and_rank_equal_reference(self, text, drop, single, data):
+        header, rows = text
+        id_col = "id" if header[0] == "id" else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+            ref, ref_err = outcome(reference_load_table, path, id_col, drop)
+            table, err = outcome(load_table, path, id_col, drop)
+        if ref_err is None and ref.n_rows == 0:
+            assert err == (TableLoadError, f"{path}: no data rows")
+            return
+        assert err == ref_err
+        if err is not None:
+            return
+        assert (table.columns, table.row_ids, table.dropped_rows) == (
+            ref.columns, ref.row_ids, ref.dropped_rows
+        )
+        for name in header:
+            assert table.is_numeric(name) == ref.is_numeric(name), name
+            if ref.is_numeric(name):
+                assert [v.hex() for v in table.column(name).tolist()] == [
+                    v.hex() for v in ref.column(name)
+                ]
+            else:
+                assert list(table.column(name)) == ref.column(name)
+
+        numeric = [name for name in header if ref.is_numeric(name)]
+        pool = numeric if numeric and data.draw(st.integers(0, 3)) else header
+        columns = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        spec = (
+            ScoreSpec.single_attribute(columns[0])
+            if single
+            else ScoreSpec.equal_weight_sum(columns)
+        )
+        flags = data.draw(st.lists(st.booleans(), min_size=ref.n_rows, max_size=ref.n_rows))
+        ref_items, ref_err = outcome(reference_score_and_rank, ref, spec, flags)
+        ranked, err = outcome(score_and_rank, table, spec, flags)
+        assert err == ref_err
+        if err is None:
+            assert ranking_rows(ranked) == item_rows(ref_items)
+
+    def test_summed_signed_zeros_equal_reference(self, tmp_path):
+        """numpy's min picks the later of two equal zeros where Python's picks
+        the earlier, so the normalized "-0.0" can keep its sign; the sum must
+        still give +0.0, as the per-row sum did."""
+        path = write_csv(tmp_path, "id,v\na,-0.0\nb,0\nc,1\n")
+        spec = ScoreSpec.equal_weight_sum(["v"])
+        flags = [True, False, True]
+        ranked = score_and_rank(load_table(path, "id"), spec, flags)
+        ref = reference_score_and_rank(reference_load_table(path, "id"), spec, flags)
+        assert ranking_rows(ranked) == item_rows(ref)

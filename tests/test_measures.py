@@ -409,10 +409,9 @@ class TestWithinGroupShuffle:
         changes no measure."""
         rk = ranking_from_flags(flags.tolist())
         pos = np.nonzero(flags == group)[0]
-        items = list(rk.items)
-        for p, q in zip(pos, np.random.default_rng(seed).permutation(pos)):
-            items[p] = rk.items[q]
-        shuffled = Ranking(items=tuple(items))
+        order = np.arange(rk.n)
+        order[pos] = np.random.default_rng(seed).permutation(pos)
+        shuffled = Ranking(ids=[rk.ids[r] for r in order], flags=rk.flags[order])
         assert fairness_report(shuffled, step) == fairness_report(rk, step)
 
 

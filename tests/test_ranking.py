@@ -1,21 +1,29 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfair.ranking import (
-    Item,
     Ranking,
+    RankingFormatError,
     ValidationError,
     build_schedule,
     ranking_from_flags,
     read_ranking_csv,
-    validate_ranking,
-    validation_errors,
     write_ranking_csv,
 )
 
-from conftest import prefix_counts
+from conftest import (
+    item_rows,
+    outcome,
+    prefix_counts,
+    ranking_rows,
+    reference_read_ranking_csv,
+)
 
 
 class TestBuildSchedule:
@@ -70,7 +78,7 @@ class TestPrefixCounts:
     def test_invariants(self, flags, step):
         rk = ranking_from_flags(flags)
         counts = prefix_counts(rk, build_schedule(rk.n, step))
-        n_plus, n_minus = rk.n_plus, rk.n_minus
+        n_plus, n_minus = rk.n_plus, rk.n - rk.n_plus
         prev_i, prev_c = 0, 0
         for i, c in counts:
             assert c >= prev_c
@@ -82,41 +90,44 @@ class TestPrefixCounts:
 
 class TestValidation:
     def test_well_formed(self):
-        rk = ranking_from_flags([True, False, True, False])
-        assert validate_ranking(rk) is rk
+        rk = Ranking(ids=("a", "b", "c", "d"), flags=[True, False, True, False])
+        assert (rk.n, rk.n_plus, rk.scores) == (4, 2, None)
 
     def test_duplicate_id(self):
-        rk = Ranking(items=(Item("a", True), Item("a", False)))
-        errors = validation_errors(rk)
-        assert any("'a'" in e for e in errors)
-        with pytest.raises(ValidationError):
-            validate_ranking(rk)
+        with pytest.raises(ValidationError) as exc:
+            Ranking(ids=("a", "a"), flags=[True, False])
+        assert any("'a'" in e for e in exc.value.errors)
 
     def test_too_short(self):
-        rk = Ranking(items=(Item("a", True),))
-        assert any("n < 2" in e for e in validation_errors(rk))
+        with pytest.raises(ValidationError) as exc:
+            Ranking(ids=("a",), flags=[True])
+        assert any("n < 2" in e for e in exc.value.errors)
 
     def test_reports_all_violations(self):
-        rk = Ranking(items=(Item("a", True), Item("a", False), Item("a", True)))
-        assert len(validation_errors(rk)) == 2
+        with pytest.raises(ValidationError) as exc:
+            Ranking(ids=("a", "a", "a"), flags=[True, False, True])
+        assert len(exc.value.errors) == 2
+
+    def test_columns_are_read_only(self):
+        rk = Ranking(ids=("a", "b"), flags=[True, False], scores=[2.0, 1.0])
+        with pytest.raises(ValueError):
+            rk.flags[0] = False
+        with pytest.raises(ValueError):
+            rk.scores[0] = 0.0
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
         rk = Ranking(
-            items=(
-                Item("x", True, 0.75),
-                Item("y", False, 0.5),
-                Item("z", False, None),
-            )
+            ids=("x", "y", "z"), flags=[True, False, False], scores=[0.75, 0.5, np.nan]
         )
         path = tmp_path / "r.csv"
         write_ranking_csv(rk, path)
         back = read_ranking_csv(path)
-        assert [i.id for i in back.items] == ["x", "y", "z"]
-        assert [i.protected for i in back.items] == [True, False, False]
-        assert back.items[0].score == pytest.approx(0.75)
-        assert back.items[2].score is None
+        assert back.ids == ("x", "y", "z")
+        assert back.flags.tolist() == [True, False, False]
+        assert back.scores[0] == pytest.approx(0.75)
+        assert np.isnan(back.scores[2])
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -147,3 +158,69 @@ class TestCsv:
 
         with pytest.raises(RankingFormatError):
             read_ranking_csv("does_not_exist.csv")
+
+
+FINITE_SCORES = [" 1", "1_0", "-0.0", "", "0.5", "2"]
+SCORE_TOKENS = FINITE_SCORES + ["1e309", "nan", "x"]
+HEADERS = [
+    ["id", "protected", "score"],
+    ["id", "protected"],
+    ["id", "protected", "other"],
+    ["id", "protected", "score", "extra"],
+]
+
+
+@st.composite
+def ranking_csv(draw):
+    """Ranking CSV rows. Half the files are clean: unique ids, 0/1 flags,
+    finite or empty scores. The rest draw repeated ids, bad flags, every
+    score token kind, ragged rows and a bad header."""
+    faults = draw(st.booleans())
+    header = draw(st.sampled_from(HEADERS + [["id", "prot", "score"]] if faults else HEADERS))
+    ids = draw(st.permutations(["a", "b", "c", "d", "e", "10", "2", "a,b", "f", "g"]))
+    rows = []
+    for i in range(draw(st.integers(min_value=0 if faults else 2, max_value=10))):
+        rid = draw(st.sampled_from(ids)) if faults else ids[i]
+        prot = draw(st.sampled_from(["0", "1"] * 8 + (["2", "", " 1"] if faults else [])))
+        score = draw(st.sampled_from(SCORE_TOKENS if faults else FINITE_SCORES))
+        width = draw(st.sampled_from([3] * 12 + [1, 2, 4] if faults else [2, 3, 3, 4]))
+        rows.append([rid, prot, score, "z"][:width])
+    return header, rows
+
+
+class TestCsvMatchesPerRowReference:
+    @given(text=ranking_csv())
+    @settings(max_examples=400, deadline=None)
+    def test_read_equals_reference(self, text):
+        """``read_ranking_csv`` returns the per-row reference's items, or
+        raises the same exception type with the same message."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([text[0], *text[1]])
+            ref, ref_err = outcome(reference_read_ranking_csv, path)
+            got, err = outcome(read_ranking_csv, path)
+        assert err == ref_err
+        if err is None:
+            assert ranking_rows(got) == item_rows(ref)
+
+    @pytest.mark.parametrize("text", ["", "id,protected,score\n"])
+    def test_empty_files_equal_reference(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        assert outcome(read_ranking_csv, path)[1] == outcome(
+            reference_read_ranking_csv, path
+        )[1]
+
+    @pytest.mark.parametrize("bad_row", [5000, 8193])
+    def test_line_numbers_past_the_first_block(self, tmp_path, bad_row):
+        """Rows are read in blocks; an error names the file line all the same."""
+        rows = [f"r{j},{j % 2},0.5" for j in range(9000)]
+        rows[bad_row - 2] = f"r{bad_row},1,oops"
+        path = tmp_path / "r.csv"
+        path.write_text("id,protected,score\n" + "\n".join(rows) + "\n")
+        with pytest.raises(RankingFormatError, match=f":{bad_row}: bad score 'oops'"):
+            read_ranking_csv(path)
+        assert outcome(read_ranking_csv, path)[1] == outcome(
+            reference_read_ranking_csv, path
+        )[1]
