@@ -27,7 +27,6 @@ from .measures import (
     report_to_json,
 )
 from .generator import (
-    GeneratorConfig,
     SweepRow,
     aggregate_sweep,
     generate_unfair,

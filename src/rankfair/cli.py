@@ -9,6 +9,8 @@ nothing partial behind.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 import tempfile
@@ -49,11 +51,14 @@ def _parse_f_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"non-numeric f-grid {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError(f"--f-grid needs finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"bad f-grid {text!r}")
     grid = []
     v = start
-    while v <= stop + 1e-9:
+    # a value above 1 is rejected later, so the grid need not grow past it
+    while v <= stop + 1e-9 and (not grid or grid[-1] <= 1.0):
         grid.append(round(v, 12))
         v = start + len(grid) * step
     return grid
@@ -114,9 +119,7 @@ def cmd_generate(args) -> int:
         base = ranking.read_ranking_csv(args.base)
     else:
         base = generator.random_base_ranking(args.n, args.n_plus, args.seed)
-    out = generator.generate_unfair(
-        base, generator.GeneratorConfig(args.f, args.seed)
-    )
+    out = generator.generate_unfair(base, args.f, args.seed)
     _write_atomic(args.out, lambda p: ranking.write_ranking_csv(out, p))
     print(f"wrote {args.out} ({out.n} items, {out.n_plus} protected)")
     return EXIT_OK
@@ -229,7 +232,10 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main``
+    call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="rankfair",
         description="Statistical-parity measures and re-scoring for rankings",
@@ -312,8 +318,7 @@ _DOMAIN_ERRORS = (
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -7,6 +7,11 @@ nonempty remainder is appended. f = 0 places every nonprotected item first,
 f = 1 every protected item first, and f equal to the protected proportion
 mixes the groups proportionally in expectation.
 
+The merge is computed through its protected prefix count: after k steps it
+is the running count of draws below f, clipped to ``feasible_band`` at k,
+since once a group runs out the other fills every later step. The band's
+edges are the segregated rankings that the normalizer evaluates.
+
 The RNG is numpy's default PCG64 generator, so outputs are reproducible
 across platforms for a given seed.
 """
@@ -20,17 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, normalizers, values_from_counts
+from .measures import MeasureKind, feasible_band, normalizers, values_from_counts
 from .ranking import Ranking, build_schedule
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    fairness_probability: float
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_probability(self.fairness_probability)
 
 
 def _check_probability(f: float) -> None:
@@ -38,40 +34,39 @@ def _check_probability(f: float) -> None:
         raise ValueError(f"fairness probability must be in [0, 1], got {f}")
 
 
+def _check_counts(n: int, n_plus: int) -> None:
+    if n < 2 or not 0 <= n_plus <= n:
+        raise ValueError(f"invalid counts n={n}, n_plus={n_plus}")
+
+
+def _merged_counts(u: np.ndarray, f: float, i: np.ndarray, n_plus: int) -> np.ndarray:
+    """Protected count among the first ``i`` items of the biased merge whose
+    step k draws ``u[k]``, for ``u.size`` items with ``n_plus`` protected."""
+    lo, hi = feasible_band(i, u.size, n_plus)
+    return np.clip(np.cumsum(u < f)[i - 1], lo, hi)
+
+
 def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
     """Index order of the biased merge of the protected (``flags`` true) and
     nonprotected positions, each group kept in its given order. With one
-    group empty the order is the identity and no draw is made."""
+    group empty the order is the identity."""
     flags = np.asarray(flags, dtype=bool)
     n = flags.size
-    prot_idx = np.nonzero(flags)[0]
-    nonp_idx = np.nonzero(~flags)[0]
-    n_plus, n_minus = prot_idx.size, nonp_idx.size
-    if n_plus == 0 or n_minus == 0:
-        return np.arange(n)
-
-    rng = np.random.default_rng(seed)
-    # draws are consumed in order, so taking n up front matches drawing one
-    # per merge step
-    choice = rng.random(n) < f
-    took_prot = np.cumsum(choice)
-    took_nonp = np.arange(1, n + 1) - took_prot
-    # first step at which either subsequence is exhausted
-    t = int(np.nonzero((took_prot == n_plus) | (took_nonp == n_minus))[0][0]) + 1
-
-    merged = np.where(
-        choice[:t],
-        prot_idx[took_prot[:t] - 1],
-        nonp_idx[took_nonp[:t] - 1],
-    )
-    tails = [prot_idx[took_prot[t - 1] :], nonp_idx[took_nonp[t - 1] :]]
-    return np.concatenate([merged, *tails])
+    u = np.random.default_rng(seed).random(n)
+    counts = _merged_counts(u, f, np.arange(1, n + 1), int(flags.sum()))
+    took_prot = np.diff(counts, prepend=0) > 0
+    order = np.empty(n, dtype=np.intp)
+    order[took_prot] = np.flatnonzero(flags)
+    order[~took_prot] = np.flatnonzero(~flags)
+    return order
 
 
-def generate_unfair(base: Ranking, config: GeneratorConfig) -> Ranking:
-    """Biased merge of the base ranking's group subsequences; a permutation
-    of the base that never reorders two items of the same group."""
-    order = merge_order(base.flags, config.fairness_probability, config.seed)
+def generate_unfair(base: Ranking, f: float, seed: int) -> Ranking:
+    """Biased merge of the base ranking's group subsequences with fairness
+    probability ``f`` in [0, 1]; a permutation of the base that never
+    reorders two items of the same group."""
+    _check_probability(f)
+    order = merge_order(base.flags, f, seed)
     return Ranking(
         ids=[base.ids[i] for i in order.tolist()],
         flags=base.flags[order],
@@ -79,18 +74,11 @@ def generate_unfair(base: Ranking, config: GeneratorConfig) -> Ranking:
     )
 
 
-def _base_permutation(n: int, n_plus: int, seed: int) -> np.ndarray:
-    """Uniform random permutation of range(n); values below n_plus are the
-    protected items."""
-    if n < 2 or not 0 <= n_plus <= n:
-        raise ValueError(f"invalid counts n={n}, n_plus={n_plus}")
-    return np.random.default_rng(seed).permutation(n)
-
-
 def random_base_ranking(n: int, n_plus: int, seed: int) -> Ranking:
     """Uniform random permutation of n items, n_plus of them protected.
     Protected ids are p1..p{n_plus}, the rest q1..q{n - n_plus}."""
-    perm = _base_permutation(n, n_plus, seed)
+    _check_counts(n, n_plus)
+    perm = np.random.default_rng(seed).permutation(n)
     return Ranking(
         ids=[f"p{k + 1}" if k < n_plus else f"q{k - n_plus + 1}" for k in perm.tolist()],
         flags=perm < n_plus,
@@ -117,39 +105,44 @@ def sweep(
     with f, and measure the result. The rRD column is None when the
     protected group is the majority.
 
-    Works on protected-flag arrays only. A seed's base does not depend on f,
-    so it is drawn once per sweep; the prefix counts of one f's rankings are
-    measured together, one kernel call per measure.
+    The flag sequence of a biased merge does not depend on the base, so no
+    base is drawn: each seed draws its n uniforms once, every f's prefix
+    counts at the cutoffs come from them, and the seed's rows are measured
+    together, one kernel call per measure.
     """
     seeds, f_grid = list(seeds), list(f_grid)
     if not seeds:
         return []
-    bases = [_base_permutation(n, n_plus, seed) < n_plus for seed in seeds]
+    _check_counts(n, n_plus)
     for f in f_grid:
         _check_probability(f)
     zs = normalizers(n, n_plus, step)
+    if not f_grid:
+        return []
     cutoffs = np.asarray(build_schedule(n, step).cutoffs)
 
-    rows = []
-    for f in f_grid:
-        counts = np.stack(
-            [
-                np.cumsum(base[merge_order(base, f, seed)])[cutoffs - 1]
-                for base, seed in zip(bases, seeds)
-            ]
+    per_seed = []
+    for seed in seeds:
+        u = np.random.default_rng(seed).random(n)
+        counts = np.stack([_merged_counts(u, f, cutoffs, n_plus) for f in f_grid])
+        per_seed.append(
+            {
+                kind: values_from_counts(kind, cutoffs, counts, n, n_plus, z)
+                for kind, z in zs.items()
+            }
         )
-        values = {
-            kind: values_from_counts(kind, cutoffs, counts, n, n_plus, z)
-            for kind, z in zs.items()
-        }
-        rrds = values.get(MeasureKind.RRD, [None] * len(seeds))
-        rows.extend(
-            SweepRow(f=f, seed=seed, rnd=rnd, rkl=rkl, rrd=rrd)
-            for seed, rnd, rkl, rrd in zip(
-                seeds, values[MeasureKind.RND], values[MeasureKind.RKL], rrds
-            )
+    no_rrd = [None] * len(f_grid)
+    return [
+        SweepRow(
+            f=f,
+            seed=seed,
+            rnd=values[MeasureKind.RND][j],
+            rkl=values[MeasureKind.RKL][j],
+            rrd=values.get(MeasureKind.RRD, no_rrd)[j],
         )
-    return rows
+        for j, f in enumerate(f_grid)
+        for seed, values in zip(seeds, per_seed)
+    ]
 
 
 @dataclass(frozen=True)

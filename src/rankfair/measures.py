@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -121,6 +122,13 @@ def _check_group(n: int, n_plus: int) -> None:
         )
 
 
+def feasible_band(i, n: int, n_plus: int) -> tuple[np.ndarray, np.ndarray]:
+    """Range [lo, hi] of the protected count among the top ``i`` of ``n``
+    items, ``n_plus`` protected, broadcast over ``i``: ``lo`` with every
+    protected item last, ``hi`` with all of them first."""
+    return np.maximum(0, i - (n - n_plus)), np.minimum(i, n_plus)
+
+
 def parity_term(
     kind: MeasureKind, i: int, c: int, n: int, n_plus: int
 ) -> float:
@@ -129,7 +137,7 @@ def parity_term(
     feasible ``c``. The measures, normalizers and report use the vectorized
     ``_discounted_terms``, which yields this value divided by log2(i)."""
     _check_group(n, n_plus)
-    lo, hi = max(0, i - (n - n_plus)), min(i, n_plus)
+    lo, hi = feasible_band(i, n, n_plus)
     if not lo <= c <= hi:
         raise ValueError(f"c={c} infeasible at cutoff {i} (range [{lo},{hi}])")
     return float(_term_values(kind, np.array(i), np.array(c), n, n_plus))
@@ -157,9 +165,9 @@ def normalizer(
 ) -> float:
     """Largest attainable discounted sum for the given group sizes.
 
-    Evaluates the prefix counts of the segregated rankings, min(i, n_plus)
-    (protected first) and max(0, i - n_minus) (protected last), as two rows of
-    one kernel call, in O(n / step) time and memory. rND/rKL take the larger
+    Evaluates the prefix counts of the segregated rankings, the two edges of
+    ``feasible_band`` (protected last, protected first), as two rows of one
+    kernel call, in O(n / step) time and memory. rND/rKL take the larger
     sum (see the module docstring for how far this is checked against the
     exact maximum); rRD takes the protected-last sum. Returns 0.0 in the
     trivial single-cutoff case n <= step, where the only cutoff is the whole
@@ -171,9 +179,7 @@ def normalizer(
             f"rRD needs a minority protected group (n_plus={n_plus}, n={n})"
         )
     cutoffs = np.asarray(build_schedule(n, step).cutoffs)
-    extremes = np.stack(
-        [np.maximum(0, cutoffs - (n - n_plus)), np.minimum(cutoffs, n_plus)]
-    )
+    extremes = np.stack(feasible_band(cutoffs, n, n_plus))
     rows = _discounted_terms(kind, cutoffs, extremes, n, n_plus).tolist()
     protected_last, protected_first = (sum(row) for row in rows)
     if kind is MeasureKind.RRD:
@@ -235,25 +241,20 @@ def measure(
 
 
 @dataclass(frozen=True)
-class CutoffDiagnostics:
-    """Discounted per-cutoff contributions (term / log2(i))."""
-
-    i: int
-    c: int
-    term_rnd: float
-    term_rkl: float
-    term_rrd: Optional[float]
-
-
-@dataclass(frozen=True)
 class FairnessReport:
+    """The measures of a ranking and, per cutoff in ``cutoffs``, the protected
+    prefix count and each measure's discounted term (term / log2 i), as
+    columns. rRD's terms and normalizer are None for a majority group."""
+
     n: int
     n_plus: int
     step: int
     rnd: float
     rkl: float
     rrd: Optional[float]
-    per_cutoff: tuple[CutoffDiagnostics, ...]
+    cutoffs: tuple[int, ...]
+    counts: tuple[int, ...]
+    terms: tuple[tuple[float, ...], tuple[float, ...], Optional[tuple[float, ...]]]
     normalizers: tuple[float, float, Optional[float]]
 
 
@@ -266,11 +267,11 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
 
     values: list[Optional[float]] = [None] * 3
     zs: list[Optional[float]] = [None] * 3
-    rows: list[list] = [[None] * cutoffs.size] * 3
+    terms: list[Optional[tuple[float, ...]]] = [None] * 3
     for j, (kind, z) in enumerate(normalizers(n, n_plus, step).items()):
         zs[j] = z
-        rows[j] = _discounted_terms(kind, cutoffs, c, n, n_plus).tolist()
-        values[j] = sum(rows[j]) / z if z != 0.0 else 0.0
+        terms[j] = tuple(_discounted_terms(kind, cutoffs, c, n, n_plus).tolist())
+        values[j] = sum(terms[j]) / z if z != 0.0 else 0.0
     return FairnessReport(
         n=n,
         n_plus=n_plus,
@@ -278,10 +279,9 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
         rnd=values[0],
         rkl=values[1],
         rrd=values[2],
-        per_cutoff=tuple(
-            CutoffDiagnostics(i, ci, *terms)
-            for i, ci, *terms in zip(cutoffs.tolist(), c.tolist(), *rows)
-        ),
+        cutoffs=tuple(cutoffs.tolist()),
+        counts=tuple(c.tolist()),
+        terms=tuple(terms),
         normalizers=tuple(zs),
     )
 
@@ -292,12 +292,13 @@ def _j(x: Optional[float]) -> str:
 
 def report_to_json(report: FairnessReport) -> str:
     """Stable JSON serialization with 6-decimal reals."""
+    t_rnd, t_rkl, t_rrd = report.terms
     rows = ",\n    ".join(
-        "{"
-        + f'"i": {d.i}, "c": {d.c}, "term_rnd": {_j(d.term_rnd)}, '
-        + f'"term_rkl": {_j(d.term_rkl)}, "term_rrd": {_j(d.term_rrd)}'
-        + "}"
-        for d in report.per_cutoff
+        f'{{"i": {i}, "c": {c}, "term_rnd": {a:.6f}, "term_rkl": {b:.6f}, '
+        f'"term_rrd": {_j(r)}}}'
+        for i, c, a, b, r in zip(
+            report.cutoffs, report.counts, t_rnd, t_rkl, t_rrd or repeat(None)
+        )
     )
     z_rnd, z_rkl, z_rrd = report.normalizers
     return (

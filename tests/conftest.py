@@ -73,6 +73,35 @@ def prefix_counts(
     return tuple(zip(schedule.cutoffs, (int(c) for c in cum[idx])))
 
 
+def reference_merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
+    """Reference for ``merge_order``: the biased merge that finds the step
+    where one group runs out and appends the two leftover tails."""
+    flags = np.asarray(flags, dtype=bool)
+    n = flags.size
+    prot_idx = np.nonzero(flags)[0]
+    nonp_idx = np.nonzero(~flags)[0]
+    n_plus, n_minus = prot_idx.size, nonp_idx.size
+    if n_plus == 0 or n_minus == 0:
+        return np.arange(n)
+
+    rng = np.random.default_rng(seed)
+    # draws are consumed in order, so taking n up front matches drawing one
+    # per merge step
+    choice = rng.random(n) < f
+    took_prot = np.cumsum(choice)
+    took_nonp = np.arange(1, n + 1) - took_prot
+    # first step at which either subsequence is exhausted
+    t = int(np.nonzero((took_prot == n_plus) | (took_nonp == n_minus))[0][0]) + 1
+
+    merged = np.where(
+        choice[:t],
+        prot_idx[took_prot[:t] - 1],
+        nonp_idx[took_nonp[:t] - 1],
+    )
+    tails = [prot_idx[took_prot[t - 1] :], nonp_idx[took_nonp[t - 1] :]]
+    return np.concatenate([merged, *tails])
+
+
 # --- per-row references -------------------------------------------------------
 #
 # The per-row ``Item`` parsers and ranker that the columnar ``ranking`` and

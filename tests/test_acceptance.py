@@ -24,7 +24,7 @@ from rankfair.fairopt import (
     total_loss,
     train,
 )
-from rankfair.generator import GeneratorConfig, aggregate_sweep, generate_unfair, merge_order, random_base_ranking, sweep
+from rankfair.generator import aggregate_sweep, generate_unfair, merge_order, random_base_ranking, sweep
 from rankfair.ingest import ProtectedSpec, ScoreSpec, derive_protected, load_table, score_and_rank
 from rankfair.measures import (
     MeasureKind,
@@ -173,9 +173,7 @@ def test_criterion_6_generator_invariants():
             n_plus = int(rng.integers(0, n + 1))
             f = float(rng.random())
             base = random_base_ranking(n, n_plus, seed=int(rng.integers(2**31)))
-            out = generate_unfair(
-                base, GeneratorConfig(f, seed=int(rng.integers(2**31)))
-            )
+            out = generate_unfair(base, f, seed=int(rng.integers(2**31)))
             assert sorted(out.ids) == sorted(base.ids)
             for group in (True, False):
                 base_ids = [i for i, p in zip(base.ids, base.flags) if p == group]

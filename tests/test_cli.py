@@ -1,8 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
+from rankfair import cli
 from rankfair.cli import main
 from rankfair.ranking import ranking_from_flags, write_ranking_csv
 
@@ -133,6 +135,18 @@ class TestSweep:
         assert main(args) == 2
 
 
+    @pytest.mark.parametrize(
+        "grid", ["0:1:nan", "nan:1:0.5", "0:inf:0.5", "0:1:inf"]
+    )
+    def test_non_finite_grid_exit_2(self, tmp_path, capsys, grid):
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid", grid,
+            "--out", str(tmp_path / "s.csv"),
+        ]
+        assert main(args) == 2
+        assert "--f-grid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_seeds_below_one_exit_2(self, tmp_path, capsys, seeds):
         out = tmp_path / "s.csv"
@@ -153,6 +167,7 @@ class TestSweep:
             (["--n-plus", "20"], "protected group size 20 of 20 is degenerate"),
             (["--f-grid", "0:2:0.5"], "fairness probability must be in [0, 1], got 1.5"),
             (["--step", "1"], "step must be >= 2, got 1"),
+            (["--f-grid", "0:1e300:0.5"], "fairness probability must be in [0, 1], got 1.5"),
         ],
     )
     def test_domain_errors_exit_1(self, tmp_path, capsys, flags, message):
@@ -461,3 +476,22 @@ def test_help_lists_commands(capsys):
     out = capsys.readouterr().out
     for cmd in ("measure", "generate", "sweep", "rank", "optimize"):
         assert cmd in out
+
+
+def test_main_builds_the_parser_once(monkeypatch, segregated_csv, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "rankfair":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["measure", segregated_csv]) == 0
+        assert main(["measure", segregated_csv]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1

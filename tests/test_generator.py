@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfair.generator import (
-    GeneratorConfig,
     SweepRow,
     aggregate_sweep,
     generate_unfair,
@@ -17,6 +16,8 @@ from rankfair.generator import (
 from rankfair.measures import MeasureKind, measure_from_flags
 from rankfair.ranking import Ranking
 
+from conftest import reference_merge_order
+
 
 BASE4 = Ranking(ids=("a", "b", "c", "d"), flags=[True, False, True, False])
 
@@ -27,15 +28,14 @@ def ids(ranking):
 
 def reference_sweep(n, n_plus, f_grid, seeds, step=10):
     """Reference for ``sweep``: the per-cell loop it replaced, which builds a
-    random base ``Ranking`` for every (f, seed), biases it with
-    ``generate_unfair`` and measures each kind with ``measure_from_flags``."""
+    random base ``Ranking`` for every (f, seed), biases it with the reference
+    merge and measures each kind with ``measure_from_flags``."""
     rrd_ok = 2 * n_plus <= n
     rows = []
     for f in f_grid:
         for seed in seeds:
             base = random_base_ranking(n, n_plus, seed)
-            out = generate_unfair(base, GeneratorConfig(f, seed))
-            flags = out.flags
+            flags = base.flags[reference_merge_order(base.flags, f, seed)]
             rows.append(
                 SweepRow(
                     f=f,
@@ -55,7 +55,7 @@ def reference_sweep(n, n_plus, f_grid, seeds, step=10):
 class TestGenerateUnfair:
     def test_f_zero_nonprotected_first(self):
         for seed in (0, 1, 99):
-            assert ids(generate_unfair(BASE4, GeneratorConfig(0.0, seed))) == [
+            assert ids(generate_unfair(BASE4, 0.0, seed)) == [
                 "b",
                 "d",
                 "a",
@@ -64,7 +64,7 @@ class TestGenerateUnfair:
 
     def test_f_one_protected_first(self):
         for seed in (0, 1, 99):
-            assert ids(generate_unfair(BASE4, GeneratorConfig(1.0, seed))) == [
+            assert ids(generate_unfair(BASE4, 1.0, seed)) == [
                 "a",
                 "c",
                 "b",
@@ -75,7 +75,7 @@ class TestGenerateUnfair:
         # frozen after a hand check against the seed-42 uniform draws
         # (0.774, 0.439, 0.859, ...): S-, S+, S-, then the S+ remainder;
         # both within-group orders are preserved
-        assert ids(generate_unfair(BASE4, GeneratorConfig(0.5, 42))) == [
+        assert ids(generate_unfair(BASE4, 0.5, 42)) == [
             "b",
             "a",
             "d",
@@ -88,17 +88,31 @@ class TestGenerateUnfair:
         assert merge_order(np.zeros(3, dtype=bool), 0.5, 42).tolist() == [0, 1, 2]
 
     def test_deterministic(self):
-        cfg = GeneratorConfig(0.37, 7)
         base = random_base_ranking(50, 20, 3)
-        assert ids(generate_unfair(base, cfg)) == ids(generate_unfair(base, cfg))
+        assert ids(generate_unfair(base, 0.37, 7)) == ids(generate_unfair(base, 0.37, 7))
 
     def test_single_group_passthrough(self):
         base = random_base_ranking(10, 0, 1)
-        assert ids(generate_unfair(base, GeneratorConfig(0.5, 1))) == ids(base)
+        assert ids(generate_unfair(base, 0.5, 1)) == ids(base)
 
     def test_bad_f(self):
         with pytest.raises(ValueError):
-            GeneratorConfig(1.5, 0)
+            generate_unfair(BASE4, 1.5, 0)
+
+    @given(
+        flags=st.lists(st.booleans(), min_size=1, max_size=200)
+        | st.integers(min_value=1, max_value=200).flatmap(
+            lambda n: st.sampled_from([[True] * n, [False] * n])
+        ),
+        f=st.floats(min_value=0.0, max_value=1.0)
+        | st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0))]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_merge_order_equals_reference(self, flags, f, seed):
+        assert merge_order(flags, f, seed).tolist() == (
+            reference_merge_order(flags, f, seed).tolist()
+        )
 
     @given(
         flags=st.lists(st.booleans(), min_size=2, max_size=80),
@@ -108,7 +122,7 @@ class TestGenerateUnfair:
     @settings(max_examples=300, deadline=None)
     def test_permutation_and_group_order_preserved(self, flags, f, seed):
         base = Ranking(ids=[f"k{i}" for i in range(len(flags))], flags=flags)
-        out = generate_unfair(base, GeneratorConfig(f, seed))
+        out = generate_unfair(base, f, seed)
         assert sorted(ids(out)) == sorted(ids(base))
         for group in (True, False):
             base_order = [i for i, p in zip(base.ids, base.flags) if p == group]
@@ -198,7 +212,7 @@ def test_monotone_protected_share_in_top_100():
         shares = []
         for seed in range(50):
             base = random_base_ranking(n, n_plus, seed)
-            out = generate_unfair(base, GeneratorConfig(f, seed))
+            out = generate_unfair(base, f, seed)
             shares.append(out.flags[:top].mean())
         means.append(np.mean(shares))
     assert all(b >= a for a, b in zip(means, means[1:]))

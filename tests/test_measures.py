@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rankfair.measures import (
     BinaryDistribution,
-    CutoffDiagnostics,
     DegenerateGroupError,
     FairnessReport,
     MeasureKind,
@@ -82,22 +81,11 @@ def reference_fairness_report(ranking, step=10):
     z_rkl = normalizer(MeasureKind.RKL, n, n_plus, step)
     z_rrd = normalizer(MeasureKind.RRD, n, n_plus, step) if rrd_ok else None
 
-    diags = []
-    for i, c in counts:
-        disc = float(np.log2(i))
-        diags.append(
-            CutoffDiagnostics(
-                i=i,
-                c=c,
-                term_rnd=parity_term(MeasureKind.RND, i, c, n, n_plus) / disc,
-                term_rkl=parity_term(MeasureKind.RKL, i, c, n, n_plus) / disc,
-                term_rrd=(
-                    parity_term(MeasureKind.RRD, i, c, n, n_plus) / disc
-                    if rrd_ok
-                    else None
-                ),
-            )
+    def terms(kind):
+        return tuple(
+            parity_term(kind, i, c, n, n_plus) / float(np.log2(i)) for i, c in counts
         )
+
     return FairnessReport(
         n=n,
         n_plus=n_plus,
@@ -105,7 +93,13 @@ def reference_fairness_report(ranking, step=10):
         rnd=rnd,
         rkl=rkl,
         rrd=rrd,
-        per_cutoff=tuple(diags),
+        cutoffs=tuple(i for i, _ in counts),
+        counts=tuple(c for _, c in counts),
+        terms=(
+            terms(MeasureKind.RND),
+            terms(MeasureKind.RKL),
+            terms(MeasureKind.RRD) if rrd_ok else None,
+        ),
         normalizers=(z_rnd, z_rkl, z_rrd),
     )
 
@@ -338,7 +332,7 @@ class TestFairnessReport:
         assert rep.rnd == pytest.approx(1.0, abs=1e-9)
         assert rep.rkl == pytest.approx(1.0, abs=1e-9)
         assert rep.rrd == pytest.approx(1.0, abs=1e-9)
-        assert len(rep.per_cutoff) == 2
+        assert len(rep.cutoffs) == 2
 
     def test_fair_case(self):
         rep = fairness_report(ranking_from_flags([False, True] * 10))
@@ -349,12 +343,12 @@ class TestFairnessReport:
         assert rep.rrd is None
         assert rep.normalizers[2] is None
         assert rep.rnd is not None and rep.rkl is not None
-        assert all(d.term_rrd is None for d in rep.per_cutoff)
+        assert rep.terms[2] is None
 
     def test_per_cutoff_sums_match(self):
         rk = segregated(12, 8)
         rep = fairness_report(rk)
-        total = sum(d.term_rnd for d in rep.per_cutoff)
+        total = sum(rep.terms[0])
         assert rep.rnd == pytest.approx(total / rep.normalizers[0], abs=1e-12)
 
     def test_json_shape(self):
@@ -385,14 +379,13 @@ class TestReportMatchesReference:
         rk = ranking_from_flags(flags.tolist())
         rep = fairness_report(rk, step)
         n, n_plus = rep.n, rep.n_plus
-        for d in rep.per_cutoff:
-            disc = float(np.log2(d.i))
-            assert d.term_rnd == parity_term(MeasureKind.RND, d.i, d.c, n, n_plus) / disc
-            assert d.term_rkl == parity_term(MeasureKind.RKL, d.i, d.c, n, n_plus) / disc
+        t_rnd, t_rkl, t_rrd = rep.terms
+        for j, (i, c) in enumerate(zip(rep.cutoffs, rep.counts)):
+            disc = float(np.log2(i))
+            assert t_rnd[j] == parity_term(MeasureKind.RND, i, c, n, n_plus) / disc
+            assert t_rkl[j] == parity_term(MeasureKind.RKL, i, c, n, n_plus) / disc
             if 2 * n_plus <= n:
-                assert d.term_rrd == (
-                    parity_term(MeasureKind.RRD, d.i, d.c, n, n_plus) / disc
-                )
+                assert t_rrd[j] == parity_term(MeasureKind.RRD, i, c, n, n_plus) / disc
         assert rep == reference_fairness_report(rk, step)
 
 
