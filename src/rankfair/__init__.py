@@ -3,7 +3,6 @@ generator, dataset ingestion helpers, and a prototype-based fair re-scoring
 optimizer."""
 
 from .ranking import (
-    CutoffSchedule,
     Ranking,
     RankingFormatError,
     ValidationError,
@@ -20,7 +19,6 @@ from .measures import (
     RrdInapplicableError,
     fairness_report,
     kl_divergence,
-    measure,
     measure_from_flags,
     normalizer,
     parity_term,

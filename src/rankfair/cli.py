@@ -1,9 +1,9 @@
 """Command-line surface: measure, generate, sweep, rank, optimize.
 
 Exit codes: 0 success, 1 domain error (degenerate group, missing values,
-divergence), 2 usage error (bad flags, malformed input, unknown columns).
-Output files are written to a temp file and renamed, so a failed run leaves
-nothing partial behind.
+divergence), 2 usage error (bad flags, malformed input, unknown columns, an
+unreadable input or unwritable output path). The library's writers write every
+output file atomically, so a failed run leaves nothing partial behind.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,19 +26,6 @@ EXIT_USAGE = 2
 
 class _UsageError(Exception):
     pass
-
-
-def _write_atomic(path: str | Path, write: Callable[[str], None]) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _parse_f_grid(text: str) -> list[float]:
@@ -90,15 +75,16 @@ def cmd_measure(args) -> int:
     if report.rrd is None and not args.allow_majority_rrd:
         note = "rRD inapplicable: protected group is the majority"
     elif report.rrd is None and args.allow_majority_rrd:
-        rrd = measures.measure(
-            measures.MeasureKind.RRD, rk, args.step, allow_majority_rrd=True
+        rrd = measures.measure_from_flags(
+            measures.MeasureKind.RRD, rk.flags, args.step, allow_majority_rrd=True
         )
         note = f"rRD (majority override) = {rrd:.6f}"
     else:
         note = None
     text = measures.report_to_json(report)
     if args.out:
-        _write_atomic(args.out, lambda p: Path(p).write_text(text, encoding="utf-8"))
+        with ranking.open_atomic(args.out) as fh:
+            fh.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -120,7 +106,7 @@ def cmd_generate(args) -> int:
     else:
         base = generator.random_base_ranking(args.n, args.n_plus, args.seed)
     out = generator.generate_unfair(base, args.f, args.seed)
-    _write_atomic(args.out, lambda p: ranking.write_ranking_csv(out, p))
+    ranking.write_ranking_csv(out, args.out)
     print(f"wrote {args.out} ({out.n} items, {out.n_plus} protected)")
     return EXIT_OK
 
@@ -133,8 +119,8 @@ def cmd_sweep(args) -> int:
     rows = generator.sweep(args.n, args.n_plus, f_grid, seeds, step=args.step)
     aggs = generator.aggregate_sweep(rows)
     agg_out = args.agg_out or str(Path(args.out).with_suffix(".agg.csv"))
-    _write_atomic(args.out, lambda p: generator.write_sweep_csv(rows, p))
-    _write_atomic(agg_out, lambda p: generator.write_aggregate_csv(aggs, p))
+    generator.write_sweep_csv(rows, args.out)
+    generator.write_aggregate_csv(aggs, agg_out)
     print(f"wrote {args.out} ({len(rows)} rows) and {agg_out} ({len(aggs)} rows)")
     return EXIT_OK
 
@@ -152,7 +138,7 @@ def _load_ranked_dataset(args):
 def cmd_rank(args) -> int:
     table, protected, proportion = _load_ranked_dataset(args)
     rk = ingest.score_and_rank(table, _score_spec(args), protected)
-    _write_atomic(args.out, lambda p: ranking.write_ranking_csv(rk, p))
+    ranking.write_ranking_csv(rk, args.out)
     if table.dropped_rows:
         print(f"dropped {len(table.dropped_rows)} incomplete rows")
     print(
@@ -172,7 +158,6 @@ def cmd_optimize(args) -> int:
             raise ingest.UnknownColumnError(name)
         if table.is_numeric(name):
             ingest.require_finite(table, name)
-    # the table keeps each normalized column, so a score column is normalized once
     features = fairopt.FeatureMatrix(
         x=np.column_stack([table.normalized(c) for c in feature_cols]),
         protected=protected,
@@ -190,9 +175,9 @@ def cmd_optimize(args) -> int:
     )
     model, traces = fairopt.train(features, hyper, step=args.step)
     _, ranked = fairopt.apply_model(features, model)
-    _write_atomic(args.trace_out, lambda p: fairopt.write_trace_csv(traces, p))
-    _write_atomic(args.model_out, lambda p: fairopt.save_model(model, hyper, p))
-    _write_atomic(args.ranking_out, lambda p: ranking.write_ranking_csv(ranked, p))
+    fairopt.write_trace_csv(traces, args.trace_out)
+    fairopt.save_model(model, hyper, args.model_out)
+    ranking.write_ranking_csv(ranked, args.ranking_out)
     last = traces[-1]
     print(
         f"finished after {len(traces)} iterations: L={last.total:.6f} "
@@ -308,13 +293,6 @@ _USAGE_ERRORS = (
     ingest.UnknownColumnError,
     ingest.SpecError,
 )
-_DOMAIN_ERRORS = (
-    measures.DegenerateGroupError,
-    measures.RrdInapplicableError,
-    fairopt.DivergenceError,
-    ingest.TableLoadError,
-    ranking.ValidationError,
-)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -324,10 +302,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except OSError as exc:
+        # an output path's error names that path, not its temp file
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, fairopt.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -16,16 +16,25 @@ deterministic given the seed.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .measures import MeasureKind, normalizers, values_from_counts
-from .ranking import Ranking, build_schedule, id_rank, rank_by_score, rank_order
+from .ranking import (
+    Ranking,
+    build_schedule,
+    fmt,
+    id_rank,
+    open_atomic,
+    rank_by_score,
+    rank_order,
+    write_csv,
+)
 
 
 class DivergenceError(RuntimeError):
@@ -101,6 +110,9 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("a_x", "a_y", "a_z", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.a_x, self.a_y, self.a_z) < 0:
             raise ValueError("loss weights must be non-negative")
         if max(self.a_x, self.a_y, self.a_z) <= 0:
@@ -299,7 +311,7 @@ def train(
     n_plus = int(np.count_nonzero(features.protected))
     scale = _TraceScale(
         id_ranks=id_rank(features.ids),
-        cutoffs=np.asarray(build_schedule(features.n, step).cutoffs),
+        cutoffs=build_schedule(features.n, step),
         n_plus=n_plus,
         zs=normalizers(features.n, n_plus, step),
     )
@@ -327,30 +339,13 @@ def train(
     return PrototypeModel(prototypes=v, score_weights=w), traces
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.6f}"
-
-
 def write_trace_csv(traces: Sequence[TraceRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["iter", "L", "L_x", "L_y", "L_z", "rnd", "rkl", "rrd", "score_diff"]
-        )
-        for t in traces:
-            writer.writerow(
-                [
-                    t.iteration,
-                    _fmt(t.total),
-                    _fmt(t.l_x),
-                    _fmt(t.l_y),
-                    _fmt(t.l_z),
-                    _fmt(t.rnd),
-                    _fmt(t.rkl),
-                    _fmt(t.rrd),
-                    _fmt(t.score_diff),
-                ]
-            )
+    write_csv(
+        path,
+        ["iter", "L", "L_x", "L_y", "L_z", "rnd", "rkl", "rrd", "score_diff"],
+        # the record's fields are in the header's order
+        ([t.iteration, *map(fmt, astuple(t)[1:])] for t in traces),
+    )
 
 
 def save_model(
@@ -372,7 +367,8 @@ def save_model(
         },
         "seed": hyper.seed,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> PrototypeModel:

@@ -18,7 +18,6 @@ across platforms for a given seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .measures import MeasureKind, feasible_band, normalizers, values_from_counts
-from .ranking import Ranking, build_schedule
+from .ranking import Ranking, build_schedule, fmt, write_csv
 
 
 def _check_probability(f: float) -> None:
@@ -119,7 +118,7 @@ def sweep(
     zs = normalizers(n, n_plus, step)
     if not f_grid:
         return []
-    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
+    cutoffs = build_schedule(n, step)
 
     per_seed = []
     for seed in seeds:
@@ -173,25 +172,17 @@ def aggregate_sweep(rows: Sequence[SweepRow]) -> list[SweepAggregate]:
     return out
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.6f}"
-
-
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["f", "seed", "rnd", "rkl", "rrd"])
-        for r in rows:
-            writer.writerow(
-                [f"{r.f:.6f}", r.seed, _fmt(r.rnd), _fmt(r.rkl), _fmt(r.rrd)]
-            )
+    write_csv(
+        path,
+        ["f", "seed", "rnd", "rkl", "rrd"],
+        ([fmt(r.f), r.seed, fmt(r.rnd), fmt(r.rkl), fmt(r.rrd)] for r in rows),
+    )
 
 
 def write_aggregate_csv(aggs: Sequence[SweepAggregate], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["f", "rnd", "rkl", "rrd"])
-        for a in aggs:
-            writer.writerow(
-                [f"{a.f:.6f}", _fmt(a.mean_rnd), _fmt(a.mean_rkl), _fmt(a.mean_rrd)]
-            )
+    write_csv(
+        path,
+        ["f", "rnd", "rkl", "rrd"],
+        ([fmt(a.f), fmt(a.mean_rnd), fmt(a.mean_rkl), fmt(a.mean_rrd)] for a in aggs),
+    )

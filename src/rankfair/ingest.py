@@ -8,7 +8,7 @@ by ascending row id, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,7 +37,6 @@ class DatasetTable:
     # read-only columns: float64 when numeric, object (str) when categorical
     data: dict[str, np.ndarray]
     dropped_rows: tuple[str, ...] = ()
-    _normalized: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.data:
@@ -48,14 +47,12 @@ class DatasetTable:
         return self.column(name).dtype == np.float64
 
     def normalized(self, name: str) -> np.ndarray:
-        """The column min-max scaled to [0, 1], computed once per table."""
+        """The column min-max scaled to [0, 1]."""
         if not self.is_numeric(name):
             raise SpecError(
                 f"min-max normalization needs a numeric column, {name!r} is not"
             )
-        if name not in self._normalized:
-            self._normalized[name] = minmax_normalize(self.column(name))
-        return self._normalized[name]
+        return minmax_normalize(self.column(name))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ranking import Ranking, build_schedule
+from .ranking import Ranking, build_schedule, fmt
 
 _TINY = np.finfo(float).tiny
 
@@ -178,7 +178,7 @@ def normalizer(
         raise RrdInapplicableError(
             f"rRD needs a minority protected group (n_plus={n_plus}, n={n})"
         )
-    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
+    cutoffs = build_schedule(n, step)
     extremes = np.stack(feasible_band(cutoffs, n, n_plus))
     rows = _discounted_terms(kind, cutoffs, extremes, n, n_plus).tolist()
     protected_last, protected_first = (sum(row) for row in rows)
@@ -225,19 +225,9 @@ def measure_from_flags(
     n = int(flags.size)
     n_plus = int(flags.sum())
     z = normalizer(kind, n, n_plus, step, allow_majority_rrd)
-    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
+    cutoffs = build_schedule(n, step)
     counts = np.cumsum(flags)[cutoffs - 1]
     return values_from_counts(kind, cutoffs, counts, n, n_plus, z)[0]
-
-
-def measure(
-    kind: MeasureKind,
-    ranking: Ranking,
-    step: int = 10,
-    allow_majority_rrd: bool = False,
-) -> float:
-    """One fairness measure of a ranking; 0 is most fair."""
-    return measure_from_flags(kind, ranking.flags, step, allow_majority_rrd)
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,7 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     """All three measures plus per-cutoff diagnostics. rRD is reported as
     None (not raised) when the protected group is the majority."""
     n, n_plus = ranking.n, ranking.n_plus
-    cutoffs = np.asarray(build_schedule(n, step).cutoffs)
+    cutoffs = build_schedule(n, step)
     c = np.cumsum(ranking.flags)[cutoffs - 1]
 
     values: list[Optional[float]] = [None] * 3
@@ -286,16 +276,12 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     )
 
 
-def _j(x: Optional[float]) -> str:
-    return "null" if x is None else f"{x:.6f}"
-
-
 def report_to_json(report: FairnessReport) -> str:
     """Stable JSON serialization with 6-decimal reals."""
     t_rnd, t_rkl, t_rrd = report.terms
     rows = ",\n    ".join(
         f'{{"i": {i}, "c": {c}, "term_rnd": {a:.6f}, "term_rkl": {b:.6f}, '
-        f'"term_rrd": {_j(r)}}}'
+        f'"term_rrd": {fmt(r, "null")}}}'
         for i, c, a, b, r in zip(
             report.cutoffs, report.counts, t_rnd, t_rkl, t_rrd or repeat(None)
         )
@@ -306,11 +292,11 @@ def report_to_json(report: FairnessReport) -> str:
         f'  "n": {report.n},\n'
         f'  "n_plus": {report.n_plus},\n'
         f'  "step": {report.step},\n'
-        f'  "rnd": {_j(report.rnd)},\n'
-        f'  "rkl": {_j(report.rkl)},\n'
-        f'  "rrd": {_j(report.rrd)},\n'
-        f'  "normalizers": {{"rnd": {_j(z_rnd)}, "rkl": {_j(z_rkl)}, '
-        f'"rrd": {_j(z_rrd)}}},\n'
+        f'  "rnd": {fmt(report.rnd, "null")},\n'
+        f'  "rkl": {fmt(report.rkl, "null")},\n'
+        f'  "rrd": {fmt(report.rrd, "null")},\n'
+        f'  "normalizers": {{"rnd": {fmt(z_rnd, "null")}, "rkl": {fmt(z_rkl, "null")}, '
+        f'"rrd": {fmt(z_rrd, "null")}}},\n'
         f'  "per_cutoff": [\n    {rows}\n  ]\n'
         "}\n"
     )

@@ -1,8 +1,13 @@
-"""Rankings with binary protected-group flags and cutoff schedules.
+"""Rankings with binary protected-group flags, cutoff schedules, and the
+reading and writing of every CSV file.
 
 A ranking is three parallel columns in rank order (ids, protected flags,
 optional scores), validated once when built and read-only after; position 1 is
 the best. Ingest and the optimizer order rows by one routine.
+
+Both readers open their input through ``open_csv``. Every output file, CSV or
+not, is written through ``open_atomic``: UTF-8 with LF line endings, put in
+place by a rename only once it is complete. Reals are written by ``fmt``.
 """
 
 from __future__ import annotations
@@ -10,10 +15,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -90,25 +97,20 @@ def rank_by_score(ids: Sequence[str], flags: Sequence[bool], scores: np.ndarray)
     return Ranking(ranked_ids, np.asarray(flags)[order], scores[order])
 
 
-@dataclass(frozen=True)
-class CutoffSchedule:
-    step: int
-    cutoffs: tuple[int, ...]
-
-
-def build_schedule(n: int, step: int = 10) -> CutoffSchedule:
-    """Cutoffs are the multiples of ``step`` up to ``n``, with ``n`` appended
-    when it is not itself a multiple; for ``n < step`` the schedule is the
-    single cutoff ``[n]``.
+def build_schedule(n: int, step: int = 10) -> np.ndarray:
+    """The cutoffs, a read-only int array: the multiples of ``step`` up to
+    ``n``, with ``n`` appended when it is not itself a multiple; for
+    ``n < step`` the schedule is the single cutoff ``[n]``.
     """
     if n < 2:
         raise ValueError(f"need at least 2 items, got n={n}")
     if step < 2:
         raise ValueError(f"step must be >= 2, got {step}")
-    cutoffs = list(range(step, n + 1, step))
-    if not cutoffs or cutoffs[-1] != n:
-        cutoffs.append(n)
-    return CutoffSchedule(step=step, cutoffs=tuple(cutoffs))
+    cutoffs = np.arange(step, n + 1, step)
+    if not cutoffs.size or cutoffs[-1] != n:
+        cutoffs = np.append(cutoffs, n)
+    cutoffs.flags.writeable = False
+    return cutoffs
 
 
 @contextmanager
@@ -125,16 +127,52 @@ def open_csv(path: Path, error: type[Exception]) -> Iterator[tuple[list, Iterato
         yield header, reader
 
 
+@contextmanager
+def open_atomic(path: str | Path) -> Iterator[TextIO]:
+    """A text file, UTF-8 with LF line endings, that replaces ``path`` only
+    when the block exits without an exception. It is written as a temp file in
+    ``path``'s directory and renamed over ``path``; on any exception the temp
+    file is removed. An OS error in creating, writing or renaming the temp
+    file is raised naming ``path``."""
+    path, tmp = Path(path), None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and (tmp is None or exc.filename in (None, tmp)):
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows through ``open_atomic``, in the csv module's
+    default dialect with LF line endings."""
+    with open_atomic(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def fmt(x: Optional[float], missing: str = "") -> str:
+    """A real with 6 decimals, or ``missing`` for None."""
+    return missing if x is None else f"{x:.6f}"
+
+
 def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
     """Write the ranking CSV format: header ``id,protected,score``, rows in
-    rank order, UTF-8, LF line endings."""
+    rank order; a missing score is empty."""
     scores = [""] * ranking.n
     if ranking.scores is not None:
-        scores = ["" if s != s else f"{s:.6f}" for s in ranking.scores.tolist()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "protected", "score"])
-        writer.writerows(zip(ranking.ids, ranking.flags.view(np.uint8).tolist(), scores))
+        scores = ["" if s != s else fmt(s) for s in ranking.scores.tolist()]
+    write_csv(
+        path,
+        ["id", "protected", "score"],
+        zip(ranking.ids, ranking.flags.view(np.uint8).tolist(), scores),
+    )
 
 
 def read_ranking_csv(path: str | Path) -> Ranking:

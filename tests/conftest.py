@@ -16,7 +16,6 @@ from rankfair.ingest import (
 )
 from rankfair.measures import MeasureKind, parity_term
 from rankfair.ranking import (
-    CutoffSchedule,
     Ranking,
     RankingFormatError,
     ValidationError,
@@ -60,17 +59,14 @@ def unnormalized_sum(
 
 
 def prefix_counts(
-    ranking: Ranking, schedule: CutoffSchedule
+    ranking: Ranking, cutoffs: np.ndarray
 ) -> tuple[tuple[int, int], ...]:
-    """Pairs ``(i, c_i)`` where ``c_i`` is the number of protected items among
-    the top ``i``."""
-    if schedule.cutoffs[-1] > ranking.n:
-        raise ValueError(
-            f"cutoff {schedule.cutoffs[-1]} exceeds ranking length {ranking.n}"
-        )
+    """Pairs ``(i, c_i)`` at each cutoff ``i`` of a schedule, where ``c_i`` is
+    the number of protected items among the top ``i``."""
+    if cutoffs[-1] > ranking.n:
+        raise ValueError(f"cutoff {cutoffs[-1]} exceeds ranking length {ranking.n}")
     cum = np.cumsum(ranking.flags)
-    idx = np.asarray(schedule.cutoffs, dtype=int) - 1
-    return tuple(zip(schedule.cutoffs, (int(c) for c in cum[idx])))
+    return tuple(zip(cutoffs.tolist(), cum[cutoffs - 1].tolist()))
 
 
 def reference_merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:

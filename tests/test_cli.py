@@ -1,5 +1,7 @@
 import argparse
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -281,6 +283,30 @@ class TestRank:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+class TestOsErrors:
+    """An unreadable input or unwritable output path exits 2 with the path the
+    user gave, no traceback, and no temp file left behind."""
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        args = ["generate", "--n", "20", "--n-plus", "5", "--f", "0.3", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOENT)}: {out}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert main(["measure", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.EISDIR)}: {tmp_path}\n"
+
+    def test_directory_as_output(self, segregated_csv, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.mkdir()
+        assert main(["measure", segregated_csv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.EISDIR)}: {out}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report", "segregated.csv"]
+        assert list(out.iterdir()) == []
+
+
 class TestOptimize:
     def base_args(self, dataset_csv, tmp_path, tag):
         return [
@@ -331,6 +357,19 @@ class TestOptimize:
         assert "'x'" in err and "'b'" in err and "non-finite" in err
         assert not (tmp_path / "t.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [("--ax", "nan", "a_x"), ("--az", "inf", "a_z"),
+         ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate")],
+    )
+    def test_non_finite_hyperparameter_exit_1(
+        self, dataset_csv, tmp_path, capsys, flag, value, name
+    ):
+        args = self.base_args(dataset_csv, tmp_path, "h") + [flag, value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert not (tmp_path / "th.csv").exists()
 
     def test_categorical_feature_exit_2(self, tmp_path, capsys):
         path = tmp_path / "features.csv"

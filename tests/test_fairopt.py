@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +192,12 @@ class TestTotalLoss:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             Hyperparams(a_x=0.0, a_y=0.0, a_z=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a_x", "a_y", "a_z", "learning_rate"])
+    def test_non_finite_hyperparameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            Hyperparams(**{name: value})
 
 
 def finite_difference(feats, model, hyper, h=1e-5):

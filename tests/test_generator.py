@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,18 @@ class TestSweep:
         agg_path = tmp_path / "agg.csv"
         write_aggregate_csv(aggregate_sweep(rows), agg_path)
         assert agg_path.read_text().splitlines()[0] == "f,rnd,rkl,rrd"
+
+    def test_malformed_row_keeps_destination(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(sweep(20, 5, [0.0], [1]), path)
+        before = path.read_bytes()
+        rows = sweep(20, 5, [0.0, 1.0], [1])
+        # the first row is written before the second fails to format
+        rows[1] = dataclasses.replace(rows[1], rnd="not a real")
+        with pytest.raises(ValueError):
+            write_sweep_csv(rows, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def test_monotone_protected_share_in_top_100():

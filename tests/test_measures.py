@@ -13,7 +13,6 @@ from rankfair.measures import (
     RrdInapplicableError,
     fairness_report,
     kl_divergence,
-    measure,
     measure_from_flags,
     normalizer,
     parity_term,
@@ -41,7 +40,7 @@ def dp_max_sum(kind, n, n_plus, step):
     its own (i, c), so the DP maximum is exact. Terms are computed and summed
     in the same order as the library's, so equal maxima compare equal.
     """
-    cutoffs = build_schedule(n, step).cutoffs
+    cutoffs = build_schedule(n, step).tolist()
     n_minus = n - n_plus
     i_col = np.asarray(cutoffs, dtype=float)[:, None]
     c_row = np.arange(n_plus + 1, dtype=float)[None, :]
@@ -67,15 +66,15 @@ def dp_max_sum(kind, n, n_plus, step):
 
 def reference_fairness_report(ranking, step=10):
     """Reference for ``fairness_report``: the per-cutoff loop it replaced,
-    with three ``measure`` calls, six ``normalizer`` calls and three scalar
+    with three ``measure_from_flags`` calls, six ``normalizer`` calls and three scalar
     ``parity_term`` calls per cutoff."""
     n, n_plus = ranking.n, ranking.n_plus
     counts = prefix_counts(ranking, build_schedule(n, step))
 
     rrd_ok = 2 * n_plus <= n
-    rnd = measure(MeasureKind.RND, ranking, step)
-    rkl = measure(MeasureKind.RKL, ranking, step)
-    rrd = measure(MeasureKind.RRD, ranking, step) if rrd_ok else None
+    rnd = measure_from_flags(MeasureKind.RND, ranking.flags, step)
+    rkl = measure_from_flags(MeasureKind.RKL, ranking.flags, step)
+    rrd = measure_from_flags(MeasureKind.RRD, ranking.flags, step) if rrd_ok else None
 
     z_rnd = normalizer(MeasureKind.RND, n, n_plus, step)
     z_rkl = normalizer(MeasureKind.RKL, n, n_plus, step)
@@ -258,7 +257,7 @@ class TestNormalizerMatchesReferences:
             for step in self.STEPS:
                 counts = [
                     (i, max(0, i - (n - n_plus)))
-                    for i in build_schedule(n, step).cutoffs
+                    for i in build_schedule(n, step).tolist()
                 ]
                 assert normalizer(MeasureKind.RRD, n, n_plus, step) == (
                     unnormalized_sum(MeasureKind.RRD, counts, n, n_plus)
@@ -267,31 +266,31 @@ class TestNormalizerMatchesReferences:
 
 class TestMeasure:
     def test_segregated_is_worst_rnd(self):
-        assert measure(MeasureKind.RND, segregated(10, 10)) == pytest.approx(
+        assert measure_from_flags(MeasureKind.RND, segregated(10, 10).flags) == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_alternating_is_fair(self):
         rk = ranking_from_flags([False, True] * 10)
-        assert measure(MeasureKind.RND, rk) == 0.0
-        assert measure(MeasureKind.RKL, rk) == 0.0
+        assert measure_from_flags(MeasureKind.RND, rk.flags) == 0.0
+        assert measure_from_flags(MeasureKind.RKL, rk.flags) == 0.0
 
     def test_rrd_extreme_is_one(self):
-        assert measure(MeasureKind.RRD, segregated(15, 5)) == pytest.approx(
+        assert measure_from_flags(MeasureKind.RRD, segregated(15, 5).flags) == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_rrd_majority_needs_override(self):
         rk = ranking_from_flags([True] * 16 + [False] * 4)
         with pytest.raises(RrdInapplicableError):
-            measure(MeasureKind.RRD, rk)
-        assert measure(MeasureKind.RRD, rk, allow_majority_rrd=True) >= 0.0
+            measure_from_flags(MeasureKind.RRD, rk.flags)
+        assert measure_from_flags(MeasureKind.RRD, rk.flags, allow_majority_rrd=True) >= 0.0
 
     def test_trivial_single_cutoff(self):
         # n <= step: the only cutoff is the whole ranking, every ranking
         # scores 0
         rk = ranking_from_flags([False, False, True, True])
-        assert measure(MeasureKind.RND, rk, step=10) == 0.0
+        assert measure_from_flags(MeasureKind.RND, rk.flags, step=10) == 0.0
 
     @given(
         flags=st.lists(st.booleans(), min_size=4, max_size=120).filter(
@@ -304,8 +303,8 @@ class TestMeasure:
         a = ranking_from_flags(flags)
         b = ranking_from_flags([not f for f in flags])
         for kind in (MeasureKind.RND, MeasureKind.RKL):
-            assert measure(kind, a, step) == pytest.approx(
-                measure(kind, b, step), abs=1e-12
+            assert measure_from_flags(kind, a.flags, step) == pytest.approx(
+                measure_from_flags(kind, b.flags, step), abs=1e-12
             )
 
     @given(
@@ -321,7 +320,7 @@ class TestMeasure:
         counts = prefix_counts(rk, build_schedule(n, step))
         proportional = all(c * n == i * n_plus for i, c in counts)
         for kind in (MeasureKind.RND, MeasureKind.RKL):
-            val = measure(kind, rk, step)
+            val = measure_from_flags(kind, rk.flags, step)
             assert 0.0 <= val <= 1.0
             assert (val == 0.0) == proportional
 
@@ -414,4 +413,4 @@ class TestMeasureFromFlags:
         rk = ranking_from_flags(flags)
         assert measure_from_flags(
             MeasureKind.RKL, np.array(flags), 10
-        ) == measure(MeasureKind.RKL, rk, 10)
+        ) == measure_from_flags(MeasureKind.RKL, rk.flags, 10)

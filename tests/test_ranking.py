@@ -12,6 +12,7 @@ from rankfair.ranking import (
     RankingFormatError,
     ValidationError,
     build_schedule,
+    open_atomic,
     ranking_from_flags,
     read_ranking_csv,
     write_ranking_csv,
@@ -29,18 +30,18 @@ from conftest import (
 class TestBuildSchedule:
     def test_multiple_of_step(self):
         sched = build_schedule(1000, 10)
-        assert sched.cutoffs == tuple(range(10, 1001, 10))
-        assert len(sched.cutoffs) == 100
+        assert sched.tolist() == list(range(10, 1001, 10))
+        assert len(sched) == 100
 
     def test_n_appended_when_not_multiple(self):
-        assert build_schedule(25, 10).cutoffs == (10, 20, 25)
+        assert build_schedule(25, 10).tolist() == [10, 20, 25]
 
     def test_n_below_step(self):
-        assert build_schedule(8, 10).cutoffs == (8,)
+        assert build_schedule(8, 10).tolist() == [8]
 
     def test_last_cutoff_is_n(self):
         for n in range(2, 60):
-            assert build_schedule(n, 10).cutoffs[-1] == n
+            assert build_schedule(n, 10)[-1] == n
 
     @pytest.mark.parametrize("n,step", [(1, 10), (0, 10), (5, 1), (5, 0)])
     def test_invalid_arguments(self, n, step):
@@ -48,7 +49,8 @@ class TestBuildSchedule:
             build_schedule(n, step)
 
     def test_pure(self):
-        assert build_schedule(37, 5) == build_schedule(37, 5)
+        assert np.array_equal(build_schedule(37, 5), build_schedule(37, 5))
+        assert not build_schedule(37, 5).flags.writeable
 
 
 class TestPrefixCounts:
@@ -158,6 +160,39 @@ class TestCsv:
 
         with pytest.raises(RankingFormatError):
             read_ranking_csv("does_not_exist.csv")
+
+
+class TestOpenAtomic:
+    def test_writes_utf8_with_lf(self, tmp_path):
+        dest = tmp_path / "out.txt"
+        with open_atomic(dest) as fh:
+            fh.write("caf\u00e9\n")
+        assert dest.read_bytes() == "caf\u00e9\n".encode("utf-8")
+        assert list(tmp_path.iterdir()) == [dest]
+
+    def test_exception_in_block_keeps_destination(self, tmp_path):
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="boom"):
+            with open_atomic(dest) as fh:
+                fh.write("partial")
+                raise RuntimeError("boom")
+        assert dest.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [dest]
+
+    def test_os_error_names_destination(self, tmp_path):
+        dest = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as exc:
+            with open_atomic(dest):
+                pass
+        assert exc.value.filename == str(dest)
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            with open_atomic(directory) as fh:
+                fh.write("x")
+        assert exc.value.filename == str(directory)
+        assert sorted(tmp_path.iterdir()) == [directory]
 
 
 FINITE_SCORES = [" 1", "1_0", "-0.0", "", "0.5", "2"]
