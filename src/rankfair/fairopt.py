@@ -24,10 +24,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, normalizers, values_from_counts
+from .measures import Scale
 from .ranking import (
     Ranking,
-    build_schedule,
     fmt,
     id_rank,
     open_atomic,
@@ -256,43 +255,20 @@ def apply_model(
     return y_hat, rank_by_score(features.ids, features.protected, y_hat)
 
 
-class _TraceScale(NamedTuple):
-    """What the trace measures need that is fixed for one training run."""
-
-    id_ranks: np.ndarray
-    cutoffs: np.ndarray
-    n_plus: int
-    zs: dict
-
-
 def _trace(
     features: FeatureMatrix,
     hyper: Hyperparams,
     fwd: _Forward,
-    scale: _TraceScale,
+    scale: Scale,
+    id_ranks: np.ndarray,
     iteration: int,
 ) -> TraceRecord:
     l_x, l_y, l_z = _losses(features, fwd)
     total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-    flags = features.protected[rank_order(fwd.y_hat, scale.id_ranks)]
-    counts = np.cumsum(flags)[scale.cutoffs - 1]
-    values = {
-        kind: values_from_counts(
-            kind, scale.cutoffs, counts, features.n, scale.n_plus, z
-        )[0]
-        for kind, z in scale.zs.items()
-    }
-    return TraceRecord(
-        iteration=iteration,
-        total=total,
-        l_x=l_x,
-        l_y=l_y,
-        l_z=l_z,
-        rnd=values[MeasureKind.RND],
-        rkl=values[MeasureKind.RKL],
-        rrd=values.get(MeasureKind.RRD),
-        score_diff=accuracy_score_diff(features.y, fwd.y_hat),
-    )
+    flags = features.protected[rank_order(fwd.y_hat, id_ranks)]
+    _, [values] = scale.measure(np.cumsum(flags)[scale.cutoffs - 1])
+    score_diff = accuracy_score_diff(features.y, fwd.y_hat)
+    return TraceRecord(iteration, total, l_x, l_y, l_z, *values, score_diff)
 
 
 def train(
@@ -308,20 +284,15 @@ def train(
     v = features.x[idx].copy()
     w = np.full(hyper.k, 0.5)
 
-    n_plus = int(np.count_nonzero(features.protected))
-    scale = _TraceScale(
-        id_ranks=id_rank(features.ids),
-        cutoffs=build_schedule(features.n, step),
-        n_plus=n_plus,
-        zs=normalizers(features.n, n_plus, step),
-    )
+    id_ranks = id_rank(features.ids)
+    scale = Scale.of(features.n, int(np.count_nonzero(features.protected)), step)
     traces: list[TraceRecord] = []
     prev_total: Optional[float] = None
     for it in range(hyper.max_iters):
         model = PrototypeModel(prototypes=v, score_weights=w)
         # one forward pass feeds the trace record and the gradient step
         fwd = _forward(features, model)
-        rec = _trace(features, hyper, fwd, scale, it)
+        rec = _trace(features, hyper, fwd, scale, id_ranks, it)
         if not np.isfinite(rec.total):
             raise DivergenceError(it)
         traces.append(rec)
@@ -369,13 +340,3 @@ def save_model(
     }
     with open_atomic(path) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-
-
-def load_model(path: str | Path) -> PrototypeModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    k, m = payload["K"], payload["m"]
-    protos = np.asarray(payload["prototypes"], dtype=float).reshape(k, m)
-    return PrototypeModel(
-        prototypes=protos,
-        score_weights=np.asarray(payload["score_weights"], dtype=float),
-    )

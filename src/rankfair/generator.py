@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, feasible_band, normalizers, values_from_counts
-from .ranking import Ranking, build_schedule, fmt, write_csv
+from .measures import Scale, feasible_band
+from .ranking import Ranking, fmt, write_csv
 
 
 def _check_probability(f: float) -> None:
@@ -107,7 +107,7 @@ def sweep(
     The flag sequence of a biased merge does not depend on the base, so no
     base is drawn: each seed draws its n uniforms once, every f's prefix
     counts at the cutoffs come from them, and the seed's rows are measured
-    together, one kernel call per measure.
+    together on one ``measures.Scale``.
     """
     seeds, f_grid = list(seeds), list(f_grid)
     if not seeds:
@@ -115,30 +115,16 @@ def sweep(
     _check_counts(n, n_plus)
     for f in f_grid:
         _check_probability(f)
-    zs = normalizers(n, n_plus, step)
+    scale = Scale.of(n, n_plus, step)
     if not f_grid:
         return []
-    cutoffs = build_schedule(n, step)
-
     per_seed = []
     for seed in seeds:
         u = np.random.default_rng(seed).random(n)
-        counts = np.stack([_merged_counts(u, f, cutoffs, n_plus) for f in f_grid])
-        per_seed.append(
-            {
-                kind: values_from_counts(kind, cutoffs, counts, n, n_plus, z)
-                for kind, z in zs.items()
-            }
-        )
-    no_rrd = [None] * len(f_grid)
+        counts = np.stack([_merged_counts(u, f, scale.cutoffs, n_plus) for f in f_grid])
+        per_seed.append(scale.measure(counts)[1])
     return [
-        SweepRow(
-            f=f,
-            seed=seed,
-            rnd=values[MeasureKind.RND][j],
-            rkl=values[MeasureKind.RKL][j],
-            rrd=values.get(MeasureKind.RRD, no_rrd)[j],
-        )
+        SweepRow(f, seed, *values[j])
         for j, f in enumerate(f_grid)
         for seed, values in zip(seeds, per_seed)
     ]

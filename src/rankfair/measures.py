@@ -9,7 +9,11 @@ parity at every cutoff; 1 is the worst attainable value.
 One vectorized kernel, ``_discounted_terms``, computes every discounted term
 (term / log2 i) for the measures, the normalizers and the per-cutoff report,
 over one or more rows of prefix counts. ``parity_term`` is the scalar
-definition of the undiscounted term; the tests pin the kernel to it.
+definition of the undiscounted term; the tests pin the kernel to it. One
+``Scale`` per group size supplies the cutoffs and the normalizers to the
+report, the generator's sweep and the training trace, and measures counts on
+them. Whether rRD applies (a minority protected group, or the explicit
+override) is decided only by ``normalizer``.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -27,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -187,30 +191,49 @@ def normalizer(
     return max(protected_first, protected_last)
 
 
-def normalizers(n: int, n_plus: int, step: int = 10) -> dict[MeasureKind, float]:
-    """The normalizer of every measure that applies to these group sizes:
-    rND and rKL, and rRD when the protected group is not the majority."""
-    kinds = list(MeasureKind) if 2 * n_plus <= n else [MeasureKind.RND, MeasureKind.RKL]
-    return {kind: normalizer(kind, n, n_plus, step) for kind in kinds}
+class Scale(NamedTuple):
+    """What measuring a ranking with ``n`` items, ``n_plus`` protected, needs
+    and shares with every other ranking of those sizes: the cutoffs and each
+    measure's normalizer, in ``MeasureKind`` order. rRD's normalizer is None
+    where ``normalizer`` rejects it, for a majority protected group. Used
+    inside the package; not exported."""
+
+    n: int
+    n_plus: int
+    cutoffs: np.ndarray
+    normalizers: tuple[float, float, Optional[float]]
+
+    @classmethod
+    def of(cls, n: int, n_plus: int, step: int = 10) -> Scale:
+        zs = []
+        for kind in MeasureKind:
+            try:
+                zs.append(normalizer(kind, n, n_plus, step))
+            except RrdInapplicableError:
+                zs.append(None)
+        return cls(n, n_plus, build_schedule(n, step), tuple(zs))
+
+    def measure(self, counts: np.ndarray) -> tuple[list, list]:
+        """Rankings measured from their prefix counts at the cutoffs, one row
+        of ``counts`` per ranking: per measure, every row's discounted terms
+        (None for an inapplicable rRD), and per row ``(rnd, rkl, rrd)``."""
+        counts = np.atleast_2d(counts)
+        terms = [
+            None if z is None
+            else _discounted_terms(kind, self.cutoffs, counts, self.n, self.n_plus).tolist()
+            for kind, z in zip(MeasureKind, self.normalizers)
+        ]
+        values = [
+            [None] * len(counts) if z is None else [_normalized(row, z) for row in rows]
+            for rows, z in zip(terms, self.normalizers)
+        ]
+        return terms, list(zip(*values))
 
 
-def values_from_counts(
-    kind: MeasureKind,
-    cutoffs: np.ndarray,
-    counts: np.ndarray,
-    n: int,
-    n_plus: int,
-    z: float,
-) -> list[float]:
-    """Measure values of rankings from their prefix counts at ``cutoffs``,
-    one row of ``counts`` per ranking, and the normalizer ``z``: each row's
-    discounted terms summed left to right and divided by ``z`` (every value
-    is 0.0 when ``z`` is 0)."""
-    counts = np.atleast_2d(counts)
-    if z == 0.0:
-        return [0.0] * counts.shape[0]
-    rows = _discounted_terms(kind, cutoffs, counts, n, n_plus).tolist()
-    return [sum(row) / z for row in rows]
+def _normalized(terms: list[float], z: float) -> float:
+    """Discounted terms summed left to right and divided by the normalizer
+    ``z``; 0.0 when ``z`` is 0."""
+    return sum(terms) / z if z != 0.0 else 0.0
 
 
 def measure_from_flags(
@@ -220,14 +243,14 @@ def measure_from_flags(
     allow_majority_rrd: bool = False,
 ) -> float:
     """Measure a ranking given only its protected-flag sequence in rank
-    order. Vectorized over cutoffs."""
+    order. Vectorized over cutoffs; only ``kind``'s normalizer is computed."""
     flags = np.asarray(flags, dtype=bool)
     n = int(flags.size)
     n_plus = int(flags.sum())
     z = normalizer(kind, n, n_plus, step, allow_majority_rrd)
     cutoffs = build_schedule(n, step)
     counts = np.cumsum(flags)[cutoffs - 1]
-    return values_from_counts(kind, cutoffs, counts, n, n_plus, z)[0]
+    return _normalized(_discounted_terms(kind, cutoffs, counts, n, n_plus).tolist(), z)
 
 
 @dataclass(frozen=True)
@@ -251,28 +274,19 @@ class FairnessReport:
 def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     """All three measures plus per-cutoff diagnostics. rRD is reported as
     None (not raised) when the protected group is the majority."""
-    n, n_plus = ranking.n, ranking.n_plus
-    cutoffs = build_schedule(n, step)
-    c = np.cumsum(ranking.flags)[cutoffs - 1]
-
-    values: list[Optional[float]] = [None] * 3
-    zs: list[Optional[float]] = [None] * 3
-    terms: list[Optional[tuple[float, ...]]] = [None] * 3
-    for j, (kind, z) in enumerate(normalizers(n, n_plus, step).items()):
-        zs[j] = z
-        terms[j] = tuple(_discounted_terms(kind, cutoffs, c, n, n_plus).tolist())
-        values[j] = sum(terms[j]) / z if z != 0.0 else 0.0
+    build_schedule(ranking.n, step)  # a bad step is reported before a degenerate group
+    scale = Scale.of(ranking.n, ranking.n_plus, step)
+    c = np.cumsum(ranking.flags)[scale.cutoffs - 1]
+    terms, [values] = scale.measure(c)
     return FairnessReport(
-        n=n,
-        n_plus=n_plus,
-        step=step,
-        rnd=values[0],
-        rkl=values[1],
-        rrd=values[2],
-        cutoffs=tuple(cutoffs.tolist()),
+        ranking.n,
+        ranking.n_plus,
+        step,
+        *values,
+        cutoffs=tuple(scale.cutoffs.tolist()),
         counts=tuple(c.tolist()),
-        terms=tuple(terms),
-        normalizers=tuple(zs),
+        terms=tuple(None if rows is None else tuple(rows[0]) for rows in terms),
+        normalizers=scale.normalizers,
     )
 
 

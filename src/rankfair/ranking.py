@@ -16,7 +16,6 @@ import csv
 import itertools
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,16 +114,22 @@ def build_schedule(n: int, step: int = 10) -> np.ndarray:
 
 @contextmanager
 def open_csv(path: Path, error: type[Exception]) -> Iterator[tuple[list, Iterator[list]]]:
-    """The header of a CSV file and a reader of its other rows; ``error`` is
-    raised when the file is missing or empty."""
+    """The header of a CSV file and a reader of its other rows. ``error`` is
+    raised when the file is missing or empty, is not UTF-8, or has a record
+    the csv module rejects, such as a field over its size limit."""
     if not path.exists():
         raise error(f"no such file: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise error(f"{path}: empty file")
-        yield header, reader
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file")
+            yield header, reader
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 @contextmanager
@@ -132,11 +137,14 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
     """A text file, UTF-8 with LF line endings, that replaces ``path`` only
     when the block exits without an exception. It is written as a temp file in
     ``path``'s directory and renamed over ``path``; on any exception the temp
-    file is removed. An OS error in creating, writing or renaming the temp
-    file is raised naming ``path``."""
+    file is removed. The file gets the mode that ``open(path, "w")`` gives a
+    new file: 0o666 less the umask. An OS error in creating, writing or
+    renaming the temp file is raised naming ``path``."""
     path, tmp = Path(path), None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        name = os.path.join(path.parent, f"tmp{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        tmp = name
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)

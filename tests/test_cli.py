@@ -66,6 +66,20 @@ class TestMeasure:
         write_ranking_csv(ranking_from_flags([True] * 5), path)
         assert main(["measure", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (f"id,protected\na,0\n{'x' * 200_000},1\n".encode(), ":3: field larger than field limit"),
+            (b"id,protected\na,0\n\xff,1\n", ": not UTF-8 text"),
+        ],
+        ids=["field_limit", "not_utf8"],
+    )
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert main(["measure", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+
 
 class TestGenerate:
     def test_f_zero_layout(self, tmp_path):
@@ -259,6 +273,26 @@ class TestRank:
         ]
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (f"id,s\na,1\nb,{'9' * 200_000}\n".encode(), ":3: field larger than field limit"),
+            (b"id,s\na,1\n\xff,2\n", ": not UTF-8 text"),
+        ],
+        ids=["field_limit", "not_utf8"],
+    )
+    def test_unreadable_csv_exit_1(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        out = tmp_path / "r.csv"
+        args = [
+            "rank", str(path), "--id-col", "id", "--protected-col", "s",
+            "--protected-less-than", "2", "--score-col", "s", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{message}")
         assert not out.exists()
 
     def test_equals_text_on_numeric_column_exit_2(self, dataset_csv, tmp_path, capsys):

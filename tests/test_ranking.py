@@ -1,4 +1,6 @@
 import csv
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -193,6 +195,19 @@ class TestOpenAtomic:
                 fh.write("x")
         assert exc.value.filename == str(directory)
         assert sorted(tmp_path.iterdir()) == [directory]
+
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"]
+    )
+    def test_new_file_mode_follows_umask(self, tmp_path, umask, mode):
+        dest = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            with open_atomic(dest) as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(dest.stat().st_mode) == mode
 
 
 FINITE_SCORES = [" 1", "1_0", "-0.0", "", "0.5", "2"]
