@@ -7,21 +7,17 @@ from .ranking import (
     RankingFormatError,
     ValidationError,
     build_schedule,
-    ranking_from_flags,
     read_ranking_csv,
     write_ranking_csv,
 )
 from .measures import (
-    BinaryDistribution,
     DegenerateGroupError,
     FairnessReport,
     MeasureKind,
     RrdInapplicableError,
     fairness_report,
-    kl_divergence,
     measure_from_flags,
     normalizer,
-    parity_term,
     report_to_json,
 )
 from .generator import (

@@ -250,8 +250,11 @@ def apply_model(
     features: FeatureMatrix, model: PrototypeModel
 ) -> tuple[np.ndarray, Ranking]:
     """Estimated scores and the ranking they induce (descending score,
-    ascending-id tie break)."""
+    ascending-id tie break). Raises ValueError when a score is not finite, as
+    after a diverging last update."""
     y_hat = soft_assignments(features, model) @ model.score_weights
+    if not np.isfinite(y_hat).all():
+        raise ValueError("the model's estimated scores are not all finite")
     return y_hat, rank_by_score(features.ids, features.protected, y_hat)
 
 

@@ -18,8 +18,8 @@ from .ranking import Ranking, duplicates, open_csv, rank_by_score
 
 
 class TableLoadError(ValueError):
-    """File missing, ragged, duplicate ids, no data rows, a missing cell or a
-    non-finite number in a column that is used."""
+    """File missing, ragged, a repeated column name, duplicate ids, no data
+    rows, a missing cell or a non-finite number in a column that is used."""
 
 
 class UnknownColumnError(KeyError):
@@ -90,6 +90,8 @@ def load_table(
     """Load a headered CSV; without ``row_id_column`` rows are numbered from 1."""
     path = Path(path)
     with open_csv(path, TableLoadError) as (header, reader):
+        if repeated := duplicates(header):
+            raise TableLoadError(f"{path}: duplicate column {repeated[0]!r}")
         if row_id_column is not None and row_id_column not in header:
             raise UnknownColumnError(row_id_column)
         rows = list(reader)

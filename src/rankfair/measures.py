@@ -8,12 +8,11 @@ parity at every cutoff; 1 is the worst attainable value.
 
 One vectorized kernel, ``_discounted_terms``, computes every discounted term
 (term / log2 i) for the measures, the normalizers and the per-cutoff report,
-over one or more rows of prefix counts. ``parity_term`` is the scalar
-definition of the undiscounted term; the tests pin the kernel to it. One
-``Scale`` per group size supplies the cutoffs and the normalizers to the
-report, the generator's sweep and the training trace, and measures counts on
-them. Whether rRD applies (a minority protected group, or the explicit
-override) is decided only by ``normalizer``.
+over one or more rows of prefix counts; the tests pin it to a scalar
+definition of the undiscounted term. One ``Scale`` per group size supplies
+the cutoffs and the normalizers to the report, the generator's sweep and the
+training trace, and measures counts on them. Whether rRD applies (a minority
+protected group, or the explicit override) is decided only by ``normalizer``.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -52,34 +51,6 @@ class MeasureKind(enum.Enum):
     RND = "rnd"
     RKL = "rkl"
     RRD = "rrd"
-
-
-@dataclass(frozen=True)
-class BinaryDistribution:
-    p_plus: float
-    p_minus: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_plus <= 1.0 and 0.0 <= self.p_minus <= 1.0):
-            raise ValueError("components must lie in [0, 1]")
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
-            raise ValueError("components must sum to 1")
-
-
-def kl_divergence(p: BinaryDistribution, q: BinaryDistribution) -> float:
-    """Base-2 KL divergence between two binary distributions, with the
-    0*log(0/q) = 0 convention. Q must be strictly positive."""
-    if q.p_plus <= 0.0 or q.p_minus <= 0.0:
-        raise DegenerateGroupError(
-            "reference distribution has a zero component"
-        )
-    out = _kl_terms(
-        np.asarray(p.p_plus, dtype=float),
-        np.asarray(p.p_minus, dtype=float),
-        q.p_plus,
-        q.p_minus,
-    )
-    return float(out)
 
 
 def _kl_terms(
@@ -133,20 +104,6 @@ def feasible_band(i, n: int, n_plus: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0, i - (n - n_plus)), np.minimum(i, n_plus)
 
 
-def parity_term(
-    kind: MeasureKind, i: int, c: int, n: int, n_plus: int
-) -> float:
-    """The undiscounted set-wise parity term at cutoff ``i`` with ``c``
-    protected items in the prefix: the scalar definition, checked for a
-    feasible ``c``. The measures, normalizers and report use the vectorized
-    ``_discounted_terms``, which yields this value divided by log2(i)."""
-    _check_group(n, n_plus)
-    lo, hi = feasible_band(i, n, n_plus)
-    if not lo <= c <= hi:
-        raise ValueError(f"c={c} infeasible at cutoff {i} (range [{lo},{hi}])")
-    return float(_term_values(kind, np.array(i), np.array(c), n, n_plus))
-
-
 def _discounted_terms(
     kind: MeasureKind, cutoffs: np.ndarray, counts: np.ndarray, n: int, n_plus: int
 ) -> np.ndarray:
@@ -177,12 +134,12 @@ def normalizer(
     trivial single-cutoff case n <= step, where the only cutoff is the whole
     ranking and every ranking scores 0.
     """
+    cutoffs = build_schedule(n, step)
     _check_group(n, n_plus)
     if kind is MeasureKind.RRD and 2 * n_plus > n and not allow_majority_rrd:
         raise RrdInapplicableError(
             f"rRD needs a minority protected group (n_plus={n_plus}, n={n})"
         )
-    cutoffs = build_schedule(n, step)
     extremes = np.stack(feasible_band(cutoffs, n, n_plus))
     rows = _discounted_terms(kind, cutoffs, extremes, n, n_plus).tolist()
     protected_last, protected_first = (sum(row) for row in rows)
@@ -274,7 +231,6 @@ class FairnessReport:
 def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     """All three measures plus per-cutoff diagnostics. rRD is reported as
     None (not raised) when the protected group is the majority."""
-    build_schedule(ranking.n, step)  # a bad step is reported before a degenerate group
     scale = Scale.of(ranking.n, ranking.n_plus, step)
     c = np.cumsum(ranking.flags)[scale.cutoffs - 1]
     terms, [values] = scale.measure(c)

@@ -229,11 +229,3 @@ def _parse_rows(path: Path, rows: list[list[str]], has_score: bool, lineno: int)
         if cell and not math.isfinite(scores[-1]):
             raise RankingFormatError(f"{path}:{lineno}: non-finite score {cell!r}")
     return scores
-
-
-def ranking_from_flags(
-    flags: Iterable[bool], scores: Optional[Sequence[float]] = None
-) -> Ranking:
-    """Convenience constructor: items get ids ``r1, r2, ...`` in rank order."""
-    flags = np.fromiter(flags, dtype=bool)
-    return Ranking([f"r{pos}" for pos in range(1, flags.size + 1)], flags, scores)

@@ -2,7 +2,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +14,14 @@ from rankfair.ingest import (
     TableLoadError,
     UnknownColumnError,
 )
-from rankfair.measures import MeasureKind, parity_term
+from rankfair.measures import (
+    DegenerateGroupError,
+    MeasureKind,
+    _check_group,
+    _kl_terms,
+    _term_values,
+    feasible_band,
+)
 from rankfair.ranking import (
     Ranking,
     RankingFormatError,
@@ -43,6 +50,62 @@ def biased_feature_matrix(seed: int = 7) -> FeatureMatrix:
 @pytest.fixture
 def biased_features() -> FeatureMatrix:
     return biased_feature_matrix()
+
+
+# --- scalar references -------------------------------------------------------
+#
+# The scalar parity term that the vectorized kernel is pinned to, the binary
+# KL divergence behind rKL's term, and a ranking built from flags alone.
+
+
+@dataclass(frozen=True)
+class BinaryDistribution:
+    p_plus: float
+    p_minus: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.p_plus <= 1.0 and 0.0 <= self.p_minus <= 1.0):
+            raise ValueError("components must lie in [0, 1]")
+        if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
+            raise ValueError("components must sum to 1")
+
+
+def kl_divergence(p: BinaryDistribution, q: BinaryDistribution) -> float:
+    """Base-2 KL divergence between two binary distributions, with the
+    0*log(0/q) = 0 convention. Q must be strictly positive."""
+    if q.p_plus <= 0.0 or q.p_minus <= 0.0:
+        raise DegenerateGroupError(
+            "reference distribution has a zero component"
+        )
+    out = _kl_terms(
+        np.asarray(p.p_plus, dtype=float),
+        np.asarray(p.p_minus, dtype=float),
+        q.p_plus,
+        q.p_minus,
+    )
+    return float(out)
+
+
+def parity_term(
+    kind: MeasureKind, i: int, c: int, n: int, n_plus: int
+) -> float:
+    """The undiscounted set-wise parity term at cutoff ``i`` with ``c``
+    protected items in the prefix: the scalar definition, checked for a
+    feasible ``c``. The measures, normalizers and report use the vectorized
+    ``_discounted_terms``, which yields this value divided by log2(i)."""
+    _check_group(n, n_plus)
+    lo, hi = feasible_band(i, n, n_plus)
+    if not lo <= c <= hi:
+        raise ValueError(f"c={c} infeasible at cutoff {i} (range [{lo},{hi}])")
+    return float(_term_values(kind, np.array(i), np.array(c), n, n_plus))
+
+
+def ranking_from_flags(
+    flags: Iterable[bool], scores: Optional[Sequence[float]] = None
+) -> Ranking:
+    """Convenience constructor: items get ids ``r1, r2, ...`` in rank order."""
+    flags = np.fromiter(flags, dtype=bool)
+    return Ranking([f"r{pos}" for pos in range(1, flags.size + 1)], flags, scores)
 
 
 def unnormalized_sum(

@@ -32,9 +32,9 @@ from rankfair.measures import (
     measure_from_flags,
     normalizer,
 )
-from rankfair.ranking import build_schedule, ranking_from_flags
+from rankfair.ranking import build_schedule
 
-from conftest import biased_feature_matrix, unnormalized_sum
+from conftest import biased_feature_matrix, ranking_from_flags, unnormalized_sum
 
 
 @contextmanager

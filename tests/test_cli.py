@@ -8,7 +8,10 @@ import pytest
 
 from rankfair import cli
 from rankfair.cli import main
-from rankfair.ranking import ranking_from_flags, write_ranking_csv
+from rankfair.measures import MeasureKind, measure_from_flags
+from rankfair.ranking import write_ranking_csv
+
+from conftest import ranking_from_flags
 
 
 @pytest.fixture
@@ -50,6 +53,26 @@ class TestMeasure:
         head, _, note = out.rpartition("}\n")
         assert json.loads(head + "}")["rrd"] is None
         assert "inapplicable" in note
+
+    def test_allow_majority_rrd_note(self, tmp_path, capsys):
+        flags = [True] * 16 + [False] * 4
+        path = tmp_path / "maj.csv"
+        write_ranking_csv(ranking_from_flags(flags), path)
+        assert main(["measure", str(path)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["measure", str(path), "--allow-majority-rrd"]) == 0
+        out = capsys.readouterr().out
+        report, _, note = out.rpartition("}\n")
+        assert report == plain.rpartition("}\n")[0]
+        assert json.loads(report + "}")["rrd"] is None
+        rrd = measure_from_flags(MeasureKind.RRD, flags, allow_majority_rrd=True)
+        assert note == f"rRD (majority override) = {rrd:.6f}\n"
+
+    def test_allow_majority_rrd_on_minority_is_a_no_op(self, segregated_csv, capsys):
+        assert main(["measure", segregated_csv]) == 0
+        plain = capsys.readouterr().out
+        assert main(["measure", segregated_csv, "--allow-majority-rrd"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_out_file(self, segregated_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -184,6 +207,7 @@ class TestSweep:
             (["--f-grid", "0:2:0.5"], "fairness probability must be in [0, 1], got 1.5"),
             (["--step", "1"], "step must be >= 2, got 1"),
             (["--f-grid", "0:1e300:0.5"], "fairness probability must be in [0, 1], got 1.5"),
+            (["--n-plus", "0", "--step", "1"], "step must be >= 2, got 1"),
         ],
     )
     def test_domain_errors_exit_1(self, tmp_path, capsys, flags, message):
@@ -295,6 +319,18 @@ class TestRank:
         assert capsys.readouterr().err.startswith(f"error: {path}{message}")
         assert not out.exists()
 
+    def test_duplicate_column_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,g,a,b,a\nx,0,1,2,3\ny,1,4,5,6\nz,0,7,8,9\n")
+        out = tmp_path / "r.csv"
+        args = [
+            "rank", str(path), "--id-col", "id", "--protected-col", "g",
+            "--protected-equals", "1", "--score-col", "a", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {path}: duplicate column 'a'\n"
+        assert not out.exists()
+
     def test_equals_text_on_numeric_column_exit_2(self, dataset_csv, tmp_path, capsys):
         args = [
             "rank", dataset_csv, "--id-col", "id", "--protected-col", "age",
@@ -391,6 +427,14 @@ class TestOptimize:
         assert "'x'" in err and "'b'" in err and "non-finite" in err
         assert not (tmp_path / "t.csv").exists()
 
+
+    def test_non_finite_model_scores_exit_1(self, dataset_csv, tmp_path, capsys):
+        args = self.base_args(dataset_csv, tmp_path, "n") + ["--lr", "1e160", "--iters", "1"]
+        assert main(args) == 1
+        assert "not all finite" in capsys.readouterr().err
+        for name in ("tn.csv", "mn.json", "rn.csv"):
+            assert not (tmp_path / name).exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize(
         "flag,value,name",

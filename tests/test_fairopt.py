@@ -451,6 +451,15 @@ class TestApplyModel:
         y_hat_p, _ = apply_model(permuted, model)
         assert np.allclose(y_hat_p, y_hat[perm])
 
+    def test_diverged_last_update_rejected(self, biased_features):
+        # the trace is evaluated before each update, so training returns the
+        # diverged model; applying it must not rank by NaN scores
+        hyper = Hyperparams(k=10, learning_rate=1e160, max_iters=1, seed=0)
+        model, traces = train(biased_features, hyper)
+        assert np.isfinite(traces[-1].total)
+        with pytest.raises(ValueError, match="not all finite"):
+            apply_model(biased_features, model)
+
 
 class TestTranslationEquivariance:
     def test_shared_shift_changes_nothing(self):

@@ -67,6 +67,12 @@ class TestLoadTable:
         with pytest.raises(TableLoadError, match="duplicate"):
             load_table(path, row_id_column="id")
 
+    def test_duplicate_column(self, tmp_path):
+        path = write_csv(tmp_path, "id,g,a,b,a\nx,0,1,2,3\ny,1,4,5,6\n")
+        with pytest.raises(TableLoadError) as exc:
+            load_table(path, row_id_column="id")
+        assert str(exc.value) == f"{path}: duplicate column 'a'"
+
     def test_ragged_row(self, tmp_path):
         path = write_csv(tmp_path, "id,v\na,1,9\n")
         with pytest.raises(TableLoadError, match="expected 2 fields"):

@@ -6,22 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfair.measures import (
-    BinaryDistribution,
     DegenerateGroupError,
     FairnessReport,
     MeasureKind,
     RrdInapplicableError,
     fairness_report,
-    kl_divergence,
     measure_from_flags,
     normalizer,
-    parity_term,
     report_to_json,
     _term_values,
 )
-from rankfair.ranking import Ranking, build_schedule, ranking_from_flags
+from rankfair.ranking import Ranking, build_schedule
 
-from conftest import prefix_counts, unnormalized_sum
+from conftest import (
+    BinaryDistribution,
+    kl_divergence,
+    parity_term,
+    prefix_counts,
+    ranking_from_flags,
+    unnormalized_sum,
+)
 
 LOG2_10 = math.log2(10)
 
@@ -414,3 +418,8 @@ class TestMeasureFromFlags:
         assert measure_from_flags(
             MeasureKind.RKL, np.array(flags), 10
         ) == measure_from_flags(MeasureKind.RKL, rk.flags, 10)
+
+    def test_bad_step_reported_before_degenerate_group(self):
+        with pytest.raises(ValueError) as exc:
+            measure_from_flags(MeasureKind.RND, [True] * 5, step=1)
+        assert str(exc.value) == "step must be >= 2, got 1"

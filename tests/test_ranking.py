@@ -15,7 +15,6 @@ from rankfair.ranking import (
     ValidationError,
     build_schedule,
     open_atomic,
-    ranking_from_flags,
     read_ranking_csv,
     write_ranking_csv,
 )
@@ -24,6 +23,7 @@ from conftest import (
     item_rows,
     outcome,
     prefix_counts,
+    ranking_from_flags,
     ranking_rows,
     reference_read_ranking_csv,
 )
