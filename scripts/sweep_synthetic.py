@@ -12,6 +12,7 @@ Writes one per-cell CSV and one per-f aggregate CSV per group size.
 import argparse
 from pathlib import Path
 
+from rankfair.cli import parse_f_grid
 from rankfair.generator import aggregate_sweep, sweep, write_aggregate_csv, write_sweep_csv
 
 
@@ -26,12 +27,14 @@ def main() -> None:
         help="protected-group sizes to sweep",
     )
     ap.add_argument("--seeds", type=int, default=50, help="seeds per grid cell")
-    ap.add_argument("--grid-step", type=float, default=0.1, help="f grid spacing")
+    ap.add_argument("--grid-step", type=float, default=0.1, help="f grid spacing over [0, 1]")
     ap.add_argument("--out-dir", default="results", help="output directory")
     args = ap.parse_args()
 
-    points = int(round(1.0 / args.grid_step)) + 1
-    f_grid = [round(j * args.grid_step, 12) for j in range(points)]
+    try:
+        f_grid = parse_f_grid(f"0:1:{args.grid_step}")
+    except ValueError as exc:
+        ap.error(f"--grid-step: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -24,11 +24,13 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
-def _parse_f_grid(text: str) -> list[float]:
+def parse_f_grid(text: str) -> list[float]:
+    """The f values ``start, start + step, ...`` up to ``stop`` inclusive, and
+    past 1 by at most one value; a malformed grid raises ValueError."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"expected start:stop:step, got {text!r}")
@@ -50,10 +52,6 @@ def _parse_f_grid(text: str) -> list[float]:
 
 
 def _protected_spec(args) -> ingest.ProtectedSpec:
-    if (args.protected_equals is None) == (args.protected_less_than is None):
-        raise _UsageError(
-            "give exactly one of --protected-equals / --protected-less-than"
-        )
     if args.protected_equals is not None:
         return ingest.ProtectedSpec.equals(args.protected_col, args.protected_equals)
     return ingest.ProtectedSpec.less_than(
@@ -62,8 +60,6 @@ def _protected_spec(args) -> ingest.ProtectedSpec:
 
 
 def _score_spec(args) -> ingest.ScoreSpec:
-    if (args.score_col is None) == (not args.score_sum):
-        raise _UsageError("give exactly one of --score-col / --score-sum")
     if args.score_col is not None:
         return ingest.ScoreSpec.single_attribute(args.score_col)
     return ingest.ScoreSpec.equal_weight_sum(args.score_sum)
@@ -114,7 +110,7 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
-    f_grid = _parse_f_grid(args.f_grid)
+    f_grid = parse_f_grid(args.f_grid)
     seeds = list(range(args.seeds))
     rows = generator.sweep(args.n, args.n_plus, f_grid, seeds, step=args.step)
     aggs = generator.aggregate_sweep(rows)
@@ -191,19 +187,21 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("dataset_csv", help="input dataset CSV with header")
     p.add_argument("--id-col", default=None, help="row id column (default: row number)")
     p.add_argument("--protected-col", required=True, help="protected attribute column")
-    p.add_argument(
+    predicate = p.add_mutually_exclusive_group(required=True)
+    predicate.add_argument(
         "--protected-equals",
         default=None,
         help="protected iff column equals this value",
     )
-    p.add_argument(
+    predicate.add_argument(
         "--protected-less-than",
         type=float,
         default=None,
         help="protected iff column is below this threshold",
     )
-    p.add_argument("--score-col", default=None, help="rank by this raw column")
-    p.add_argument(
+    score = p.add_mutually_exclusive_group(required=True)
+    score.add_argument("--score-col", default=None, help="rank by this raw column")
+    score.add_argument(
         "--score-sum",
         nargs="+",
         default=None,

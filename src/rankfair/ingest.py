@@ -87,35 +87,38 @@ class ScoreSpec:
 def load_table(
     path: str | Path, row_id_column: Optional[str] = None, drop_incomplete_rows: bool = False
 ) -> DatasetTable:
-    """Load a headered CSV; without ``row_id_column`` rows are numbered from 1."""
+    """Load a headered CSV; without ``row_id_column`` rows are numbered from 1.
+    Each block of rows is checked as it is read: a ragged row raises at once, a
+    missing cell only after the last block, so a ragged row anywhere wins."""
     path = Path(path)
-    with open_csv(path, TableLoadError) as (header, reader):
+    with open_csv(path, TableLoadError) as (header, blocks):
         if repeated := duplicates(header):
             raise TableLoadError(f"{path}: duplicate column {repeated[0]!r}")
         if row_id_column is not None and row_id_column not in header:
             raise UnknownColumnError(row_id_column)
-        rows = list(reader)
-    ragged = [r for r, row in enumerate(rows) if len(row) != len(header)]
-    if ragged:
-        r = ragged[0]
-        raise TableLoadError(
-            f"{path}:{r + 2}: expected {len(header)} fields, got {len(rows[r])}"
-        )
-    kept, dropped = [row for row in rows if "" not in row], []
-    if len(kept) < len(rows):
-        incomplete = [r for r, row in enumerate(rows) if "" in row]
-        if not drop_incomplete_rows:
-            r = incomplete[0]
-            missing = header[rows[r].index("")]
-            raise TableLoadError(f"{path}:{r + 2}: missing value in column {missing!r}")
-        dropped = [f"line {r + 2}" for r in incomplete]
-    if not kept:
+        width = len(header)
+        cols: list[list[str]] = [[] for _ in header]
+        n_rows, incomplete = 0, []
+        for first, rows in blocks:
+            if set(map(len, rows)) != {width}:
+                line, row = next((i, r) for i, r in enumerate(rows, first) if len(r) != width)
+                raise TableLoadError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+            kept = [row for row in rows if "" not in row]
+            if len(kept) < len(rows):
+                incomplete += [(i, row) for i, row in enumerate(rows, first) if "" in row]
+            for col, values in zip(cols, zip(*kept)):
+                col.extend(values)
+            n_rows += len(kept)
+    if incomplete and not drop_incomplete_rows:
+        line, row = incomplete[0]
+        missing = header[row.index("")]
+        raise TableLoadError(f"{path}:{line}: missing value in column {missing!r}")
+    if not n_rows:
         raise TableLoadError(f"{path}: no data rows")
-    cols = list(zip(*kept))
     if row_id_column is not None:
-        row_ids = cols[header.index(row_id_column)]
+        row_ids = tuple(cols[header.index(row_id_column)])
     else:
-        row_ids = tuple(str(i) for i in range(1, len(kept) + 1))
+        row_ids = tuple(str(i) for i in range(1, n_rows + 1))
     repeated = duplicates(row_ids)
     if repeated:
         raise TableLoadError(f"{path}: duplicate row id {repeated[0]!r}")
@@ -127,7 +130,8 @@ def load_table(
         except ValueError:
             data[name] = np.array(col, dtype=object)
         data[name].flags.writeable = False
-    return DatasetTable(tuple(header), row_ids, data, tuple(dropped))
+    dropped = tuple(f"line {i}" for i, _ in incomplete)
+    return DatasetTable(tuple(header), row_ids, data, dropped)
 
 
 def require_finite(table: DatasetTable, name: str) -> None:
@@ -143,21 +147,24 @@ def require_finite(table: DatasetTable, name: str) -> None:
 
 
 def derive_protected(table: DatasetTable, spec: ProtectedSpec) -> tuple[np.ndarray, float]:
-    """Per-row protected flags and the protected proportion."""
+    """Per-row protected flags and the protected proportion. On a numeric
+    column every value must be finite and the target must not be NaN, which
+    compares false and so would make every row nonprotected."""
     col, target = table.column(spec.column), spec.value
     if spec.predicate not in ("less_than", "equals"):
         raise SpecError(f"unknown predicate {spec.predicate!r}")
-    if spec.predicate == "less_than":
-        if not table.is_numeric(spec.column):
-            raise SpecError(f"less_than needs a numeric column, {spec.column!r} is not")
-        require_finite(table, spec.column)
-    elif table.is_numeric(spec.column):
+    if spec.predicate == "less_than" and not table.is_numeric(spec.column):
+        raise SpecError(f"less_than needs a numeric column, {spec.column!r} is not")
+    if table.is_numeric(spec.column):
         try:
             target = float(target)  # type: ignore[arg-type]
         except ValueError:
             raise SpecError(
                 f"equals needs a number for numeric column {spec.column!r}, got {target!r}"
             ) from None
+        if np.isnan(target):
+            raise SpecError(f"{spec.predicate} target must not be NaN, got {target!r}")
+        require_finite(table, spec.column)
     flags = col < target if spec.predicate == "less_than" else col == target
     return flags, int(np.count_nonzero(flags)) / flags.size
 

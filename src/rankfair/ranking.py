@@ -112,11 +112,16 @@ def build_schedule(n: int, step: int = 10) -> np.ndarray:
     return cutoffs
 
 
+_BLOCK_ROWS = 1 << 12
+_Blocks = Iterator[tuple[int, list[list[str]]]]
+
+
 @contextmanager
-def open_csv(path: Path, error: type[Exception]) -> Iterator[tuple[list, Iterator[list]]]:
-    """The header of a CSV file and a reader of its other rows. ``error`` is
-    raised when the file is missing or empty, is not UTF-8, or has a record
-    the csv module rejects, such as a field over its size limit."""
+def open_csv(path: Path, error: type[Exception]) -> Iterator[tuple[list[str], _Blocks]]:
+    """The header of a CSV file and its other rows as ``(first_line, rows)``
+    blocks of at most 4096 rows; the header is line 1, one line per record.
+    ``error`` is raised when the file is missing or empty, is not UTF-8, or has
+    a record the csv module rejects, such as a field over its size limit."""
     if not path.exists():
         raise error(f"no such file: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -125,11 +130,18 @@ def open_csv(path: Path, error: type[Exception]) -> Iterator[tuple[list, Iterato
             header = next(reader, None)
             if header is None:
                 raise error(f"{path}: empty file")
-            yield header, reader
+            yield header, _blocks(reader)
         except csv.Error as exc:
             raise error(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _blocks(reader: Iterator[list[str]]) -> _Blocks:
+    line = 2
+    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        yield line, rows
+        line += len(rows)
 
 
 @contextmanager
@@ -188,14 +200,14 @@ def read_ranking_csv(path: str | Path) -> Ranking:
     at a time, so a large file is never held as row lists all at once; rows are
     parsed one by one only when a bulk check fails."""
     path = Path(path)
-    ids, flags, scores, lineno = [], [np.empty(0, bool)], [np.empty(0)], 2
-    with open_csv(path, RankingFormatError) as (header, reader):
+    ids, flags, scores = [], [np.empty(0, bool)], [np.empty(0)]
+    with open_csv(path, RankingFormatError) as (header, blocks):
         if header[:2] != ["id", "protected"]:
             raise RankingFormatError(
                 f"{path}: expected header id,protected[,score], got {header}"
             )
         has_score = len(header) > 2 and header[2] == "score"
-        while rows := list(itertools.islice(reader, 1 << 12)):
+        for lineno, rows in blocks:
             try:
                 # a short row, a bad flag or score, or an empty score takes the row scan
                 valid_flags = {"0", "1"}.issuperset([row[1] for row in rows])
@@ -207,7 +219,6 @@ def read_ranking_csv(path: str | Path) -> Ranking:
             ids += [row[0] for row in rows]
             flags.append(np.array([row[1] == "1" for row in rows], dtype=bool))
             scores.append(block)
-            lineno += len(rows)
     return Ranking(ids, np.concatenate(flags), np.concatenate(scores) if has_score else None)
 
 

@@ -279,6 +279,70 @@ class TestRank:
         assert "'age'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "predicate",
+        [["--protected-equals", "1"], ["--protected-less-than", "1.5"]],
+        ids=["equals", "less_than"],
+    )
+    def test_non_finite_protected_column_exit_1(self, tmp_path, capsys, predicate):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("id,g,s\nx,0,3\ny,nan,2\nz,1,1\n")
+        out = tmp_path / "r.csv"
+        args = [
+            "rank", str(path), "--id-col", "id", "--protected-col", "g",
+            *predicate, "--score-col", "s", "--out", str(out),
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: column 'g' has non-finite value nan at row id 'y'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [["--protected-equals", "nan"], ["--protected-less-than", "nan"]],
+        ids=["equals", "less_than"],
+    )
+    def test_nan_target_exit_2(self, dataset_csv, tmp_path, capsys, predicate):
+        out = tmp_path / "r.csv"
+        args = [
+            "rank", dataset_csv, "--id-col", "id", "--protected-col", "age",
+            *predicate, "--score-col", "income", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert "target must not be NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,names",
+        [
+            (["--score-col", "s"], ["--protected-equals", "--protected-less-than"]),
+            (
+                ["--protected-equals", "1", "--protected-less-than", "2", "--score-col", "s"],
+                ["--protected-equals", "--protected-less-than"],
+            ),
+            (["--protected-equals", "1"], ["--score-col", "--score-sum"]),
+            (
+                ["--protected-equals", "1", "--score-col", "s", "--score-sum", "s"],
+                ["--score-col", "--score-sum"],
+            ),
+        ],
+        ids=["no_predicate", "two_predicates", "no_score", "two_scores"],
+    )
+    def test_flag_pair_usage_error_exit_2(self, tmp_path, capsys, flags, names):
+        """Each pair takes exactly one flag; the usage error comes before the
+        input file is opened, so a missing file is not what gets reported."""
+        out = tmp_path / "r.csv"
+        args = [
+            "rank", str(tmp_path / "nope.csv"), "--protected-col", "g", *flags,
+            "--out", str(out),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names) and "no such file" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "text,flags",
         [
             ("id,age,s\n", ["--protected-less-than", "30"]),

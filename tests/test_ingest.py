@@ -87,6 +87,46 @@ class TestLoadTable:
         assert load_table(path).row_ids == ("1", "2")
 
 
+class TestBlocksMatchReference:
+    """Rows are read in blocks of 4096 (lines 2-4097, 4098-8193, ...); errors
+    still name the file line and dropped rows keep file order, as the per-row
+    reference does."""
+
+    @staticmethod
+    def write_table(tmp_path, edits):
+        rows = [f"r{j},{j % 2},{j / 4}" for j in range(9000)]
+        for line, text in edits.items():
+            rows[line - 2] = text
+        return write_csv(tmp_path, "id,g,v\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("bad_line", [5000, 8193])
+    def test_ragged_row(self, tmp_path, bad_line):
+        path = self.write_table(tmp_path, {bad_line: f"r{bad_line},1,2,3"})
+        err = outcome(load_table, path, "id")[1]
+        assert err == (TableLoadError, f"{path}:{bad_line}: expected 3 fields, got 4")
+        assert err == outcome(reference_load_table, path, "id")[1]
+
+    def test_ragged_row_beats_an_earlier_missing_cell(self, tmp_path):
+        path = self.write_table(tmp_path, {100: "r98,1,", 8193: "r8191,1"})
+        for drop in (False, True):
+            err = outcome(load_table, path, "id", drop)[1]
+            assert err == (TableLoadError, f"{path}:8193: expected 3 fields, got 2")
+            assert err == outcome(reference_load_table, path, "id", drop)[1]
+
+    def test_dropped_rows_in_three_blocks(self, tmp_path):
+        holes = [100, 4097, 4098, 8194, 9001]
+        path = self.write_table(tmp_path, {line: f"r{line - 2},,1" for line in holes})
+        table = load_table(path, "id", drop_incomplete_rows=True)
+        ref = reference_load_table(path, "id", drop_incomplete_rows=True)
+        assert table.dropped_rows == tuple(f"line {line}" for line in holes)
+        assert (table.row_ids, table.dropped_rows) == (ref.row_ids, ref.dropped_rows)
+        assert table.column("v").tolist() == ref.column("v")
+        assert table.column("g").tolist() == ref.column("g")
+        assert outcome(load_table, path, "id")[1] == (
+            TableLoadError, f"{path}:100: missing value in column 'g'"
+        )
+
+
 class TestDeriveProtected:
     def test_less_than(self, small_table):
         flags, prop = derive_protected(
@@ -199,6 +239,23 @@ class TestNonFiniteValues:
     def test_less_than_column(self, table):
         with pytest.raises(TableLoadError, match="'s'.*nan.*'b'"):
             derive_protected(table, ProtectedSpec.less_than("s", 2.5))
+
+    def test_equals_column(self, table):
+        with pytest.raises(TableLoadError, match="'s'.*nan.*'b'"):
+            derive_protected(table, ProtectedSpec.equals("s", "3"))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProtectedSpec.equals("age", "nan"), ProtectedSpec.less_than("age", float("nan"))],
+        ids=["equals", "less_than"],
+    )
+    def test_nan_target(self, small_table, spec):
+        with pytest.raises(SpecError, match=f"{spec.predicate} target must not be NaN"):
+            derive_protected(small_table, spec)
+
+    def test_infinite_threshold_accepted(self, small_table):
+        flags, prop = derive_protected(small_table, ProtectedSpec.less_than("age", float("inf")))
+        assert flags.tolist() == [True, True, True] and prop == 1.0
 
     def test_overflowing_finite_column_accepted(self, tmp_path):
         path = write_csv(tmp_path, "id,s\na,1e308\nb,1e308\nc,-1\n")

@@ -27,19 +27,45 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_writes_its_outputs(script, tmp_path):
-    args, outputs = SCRIPTS[script]
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--out-dir", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_writes_its_outputs(script, tmp_path):
+    args, outputs = SCRIPTS[script]
+    proc = run_script(script, *args, "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
+
+
+def run_sweep_script(tmp_path, grid_step):
+    return run_script(
+        "sweep_synthetic.py", "--n", "40", "--n-plus", "10", "--seeds", "1",
+        "--grid-step", grid_step, "--out-dir", str(tmp_path),
+    )
+
+
+def test_sweep_grid_stops_at_one(tmp_path):
+    """The grid is the one ``rankfair sweep --f-grid 0:1:STEP`` builds."""
+    proc = run_sweep_script(tmp_path, "0.35")
+    assert proc.returncode == 0, proc.stderr
+    agg = (tmp_path / "sweep_n40_p10.agg.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in agg] == ["f", "0.000000", "0.350000", "0.700000"]
+
+
+def test_sweep_zero_grid_step_is_a_usage_error(tmp_path):
+    proc = run_sweep_script(tmp_path, "0")
+    assert proc.returncode == 2
+    assert "--grid-step" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
