@@ -10,6 +10,7 @@ Writes one per-cell CSV and one per-f aggregate CSV per group size.
 """
 
 import argparse
+import math
 from pathlib import Path
 
 from rankfair.cli import parse_f_grid
@@ -31,10 +32,9 @@ def main() -> None:
     ap.add_argument("--out-dir", default="results", help="output directory")
     args = ap.parse_args()
 
-    try:
-        f_grid = parse_f_grid(f"0:1:{args.grid_step}")
-    except ValueError as exc:
-        ap.error(f"--grid-step: {exc}")
+    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
+        ap.error(f"--grid-step must be a finite number above 0, got {args.grid_step}")
+    f_grid = parse_f_grid(f"0:1:{args.grid_step}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +50,17 @@ def parse_f_grid(text: str) -> list[float]:
         grid.append(round(v, 12))
         v = start + len(grid) * step
     return grid
+
+
+def _require_distinct_outputs(*flag_paths: tuple[str, str]) -> None:
+    """A usage error when two output flags resolve to one file, since the
+    later write would replace the earlier one."""
+    seen: dict[str, str] = {}
+    for flag, path in flag_paths:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise _UsageError(f"{seen[key]} and {flag} name the same file {path}")
+        seen[key] = flag
 
 
 def _protected_spec(args) -> ingest.ProtectedSpec:
@@ -110,11 +122,12 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    agg_out = args.agg_out or str(Path(args.out).with_suffix(".agg.csv"))
+    _require_distinct_outputs(("--out", args.out), ("--agg-out", agg_out))
     f_grid = parse_f_grid(args.f_grid)
     seeds = list(range(args.seeds))
     rows = generator.sweep(args.n, args.n_plus, f_grid, seeds, step=args.step)
     aggs = generator.aggregate_sweep(rows)
-    agg_out = args.agg_out or str(Path(args.out).with_suffix(".agg.csv"))
     generator.write_sweep_csv(rows, args.out)
     generator.write_aggregate_csv(aggs, agg_out)
     print(f"wrote {args.out} ({len(rows)} rows) and {agg_out} ({len(aggs)} rows)")
@@ -128,6 +141,7 @@ def _load_ranked_dataset(args):
         drop_incomplete_rows=args.drop_incomplete_rows,
     )
     protected, proportion = ingest.derive_protected(table, _protected_spec(args))
+    measures.check_group(protected.size, int(np.count_nonzero(protected)))
     return table, protected, proportion
 
 
@@ -145,6 +159,11 @@ def cmd_rank(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _require_distinct_outputs(
+        ("--trace-out", args.trace_out),
+        ("--model-out", args.model_out),
+        ("--ranking-out", args.ranking_out),
+    )
     table, protected, proportion = _load_ranked_dataset(args)
     score_spec = _score_spec(args)
     scores = ingest.compute_scores(table, score_spec)

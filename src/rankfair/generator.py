@@ -38,11 +38,27 @@ def _check_counts(n: int, n_plus: int) -> None:
         raise ValueError(f"invalid counts n={n}, n_plus={n_plus}")
 
 
-def _merged_counts(u: np.ndarray, f: float, i: np.ndarray, n_plus: int) -> np.ndarray:
-    """Protected count among the first ``i`` items of the biased merge whose
-    step k draws ``u[k]``, for ``u.size`` items with ``n_plus`` protected."""
-    lo, hi = feasible_band(i, u.size, n_plus)
-    return np.clip(np.cumsum(u < f)[i - 1], lo, hi)
+def _merged_counts(
+    u: np.ndarray, f_grid: Sequence[float], cutoffs: np.ndarray, n_plus: int
+) -> np.ndarray:
+    """Protected counts of the biased merge whose step k draws ``u[k]``, for
+    ``u.size`` items with ``n_plus`` protected: one row per f in ``f_grid``,
+    one column per ascending cutoff, the last of which is ``u.size``.
+
+    One histogram pass serves every f. A draw's bin is the cutoff interval
+    that holds its step and the number of grid values at or below it.
+    Cumulative sums over the intervals, then over those numbers, count the
+    draws strictly below each f by each cutoff, for any grid order and with
+    repeated values.
+    """
+    edges = np.sort(np.asarray(f_grid, dtype=float))
+    width = edges.size + 1
+    interval = np.repeat(np.arange(cutoffs.size), np.diff(cutoffs, prepend=0))
+    bins = interval * width + np.searchsorted(edges, u, side="right")
+    hist = np.bincount(bins, minlength=cutoffs.size * width).reshape(-1, width)
+    below = hist.cumsum(axis=0).cumsum(axis=1)[:, np.searchsorted(edges, f_grid)]
+    lo, hi = feasible_band(cutoffs, u.size, n_plus)
+    return np.clip(below.T, lo, hi)
 
 
 def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
@@ -52,7 +68,7 @@ def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
     flags = np.asarray(flags, dtype=bool)
     n = flags.size
     u = np.random.default_rng(seed).random(n)
-    counts = _merged_counts(u, f, np.arange(1, n + 1), int(flags.sum()))
+    counts = _merged_counts(u, [f], np.arange(1, n + 1), int(flags.sum()))[0]
     took_prot = np.diff(counts, prepend=0) > 0
     order = np.empty(n, dtype=np.intp)
     order[took_prot] = np.flatnonzero(flags)
@@ -105,9 +121,9 @@ def sweep(
     protected group is the majority.
 
     The flag sequence of a biased merge does not depend on the base, so no
-    base is drawn: each seed draws its n uniforms once, every f's prefix
-    counts at the cutoffs come from them, and the seed's rows are measured
-    together on one ``measures.Scale``.
+    base is drawn: each seed draws its n uniforms once, one histogram pass
+    over them gives every f's prefix counts at the cutoffs, and the seed's
+    rows are measured together on one ``measures.Scale``.
     """
     seeds, f_grid = list(seeds), list(f_grid)
     if not seeds:
@@ -121,7 +137,7 @@ def sweep(
     per_seed = []
     for seed in seeds:
         u = np.random.default_rng(seed).random(n)
-        counts = np.stack([_merged_counts(u, f, scale.cutoffs, n_plus) for f in f_grid])
+        counts = _merged_counts(u, f_grid, scale.cutoffs, n_plus)
         per_seed.append(scale.measure(counts)[1])
     return [
         SweepRow(f, seed, *values[j])

@@ -9,10 +9,13 @@ parity at every cutoff; 1 is the worst attainable value.
 One vectorized kernel, ``_discounted_terms``, computes every discounted term
 (term / log2 i) for the measures, the normalizers and the per-cutoff report,
 over one or more rows of prefix counts; the tests pin it to a scalar
-definition of the undiscounted term. One ``Scale`` per group size supplies
-the cutoffs and the normalizers to the report, the generator's sweep and the
-training trace, and measures counts on them. Whether rRD applies (a minority
-protected group, or the explicit override) is decided only by ``normalizer``.
+definition of the undiscounted term. Every caller sums a row of terms with
+``_row_sums``, strictly left to right, so a ranking equal to the maximizing
+extreme scores exactly 1 and no value depends on the Python version. One
+``Scale`` per group size supplies the cutoffs and the normalizers to the
+report, the generator's sweep and the training trace, and measures counts on
+them. Whether rRD applies (a minority protected group, or the explicit
+override) is decided only by ``normalizer``.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -90,7 +93,8 @@ def _term_values(
     return np.abs(r1 - r2)
 
 
-def _check_group(n: int, n_plus: int) -> None:
+def check_group(n: int, n_plus: int) -> None:
+    """Raise ``DegenerateGroupError`` unless both groups are nonempty."""
     if n_plus <= 0 or n_plus >= n:
         raise DegenerateGroupError(
             f"protected group size {n_plus} of {n} is degenerate"
@@ -111,8 +115,8 @@ def _discounted_terms(
 
     ``counts`` holds the prefix counts at ``cutoffs`` along its last axis, one
     row per ranking. Every discounted value is computed here, and callers sum
-    a row strictly left to right, so a ranking equal to the maximizing
-    extreme scores exactly 1.
+    a row strictly left to right with ``_row_sums``, so a ranking equal to
+    the maximizing extreme scores exactly 1.
     """
     return _term_values(kind, cutoffs, counts, n, n_plus) / np.log2(cutoffs)
 
@@ -135,14 +139,14 @@ def normalizer(
     ranking and every ranking scores 0.
     """
     cutoffs = build_schedule(n, step)
-    _check_group(n, n_plus)
+    check_group(n, n_plus)
     if kind is MeasureKind.RRD and 2 * n_plus > n and not allow_majority_rrd:
         raise RrdInapplicableError(
             f"rRD needs a minority protected group (n_plus={n_plus}, n={n})"
         )
     extremes = np.stack(feasible_band(cutoffs, n, n_plus))
-    rows = _discounted_terms(kind, cutoffs, extremes, n, n_plus).tolist()
-    protected_last, protected_first = (sum(row) for row in rows)
+    sums = _row_sums(_discounted_terms(kind, cutoffs, extremes, n, n_plus))
+    protected_last, protected_first = sums.tolist()
     if kind is MeasureKind.RRD:
         return protected_last
     return max(protected_first, protected_last)
@@ -172,25 +176,34 @@ class Scale(NamedTuple):
 
     def measure(self, counts: np.ndarray) -> tuple[list, list]:
         """Rankings measured from their prefix counts at the cutoffs, one row
-        of ``counts`` per ranking: per measure, every row's discounted terms
-        (None for an inapplicable rRD), and per row ``(rnd, rkl, rrd)``."""
+        of ``counts`` per ranking: per measure, an array of every row's
+        discounted terms (None for an inapplicable rRD), and per row
+        ``(rnd, rkl, rrd)`` as Python floats."""
         counts = np.atleast_2d(counts)
         terms = [
             None if z is None
-            else _discounted_terms(kind, self.cutoffs, counts, self.n, self.n_plus).tolist()
+            else _discounted_terms(kind, self.cutoffs, counts, self.n, self.n_plus)
             for kind, z in zip(MeasureKind, self.normalizers)
         ]
         values = [
-            [None] * len(counts) if z is None else [_normalized(row, z) for row in rows]
+            [None] * len(counts) if z is None else _normalized(rows, z).tolist()
             for rows, z in zip(terms, self.normalizers)
         ]
         return terms, list(zip(*values))
 
 
-def _normalized(terms: list[float], z: float) -> float:
-    """Discounted terms summed left to right and divided by the normalizer
-    ``z``; 0.0 when ``z`` is 0."""
-    return sum(terms) / z if z != 0.0 else 0.0
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` (its last axis) summed strictly left to right
+    from 0.0, bit for bit what Python 3.11's ``sum()`` gives: ``cumsum`` adds
+    in order, and adding 0.0 turns an all ``-0.0`` row's total into 0.0."""
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+
+
+def _normalized(terms: np.ndarray, z: float) -> np.ndarray:
+    """Rows of discounted terms summed by ``_row_sums`` and divided by the
+    normalizer ``z``; 0.0 when ``z`` is 0."""
+    sums = _row_sums(terms)
+    return sums / z if z != 0.0 else np.zeros_like(sums)
 
 
 def measure_from_flags(
@@ -207,7 +220,8 @@ def measure_from_flags(
     z = normalizer(kind, n, n_plus, step, allow_majority_rrd)
     cutoffs = build_schedule(n, step)
     counts = np.cumsum(flags)[cutoffs - 1]
-    return _normalized(_discounted_terms(kind, cutoffs, counts, n, n_plus).tolist(), z)
+    terms = _discounted_terms(kind, cutoffs, counts, n, n_plus)
+    return float(_normalized(terms, z))
 
 
 @dataclass(frozen=True)
@@ -241,7 +255,9 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
         *values,
         cutoffs=tuple(scale.cutoffs.tolist()),
         counts=tuple(c.tolist()),
-        terms=tuple(None if rows is None else tuple(rows[0]) for rows in terms),
+        terms=tuple(
+            None if rows is None else tuple(rows[0].tolist()) for rows in terms
+        ),
         normalizers=scale.normalizers,
     )
 

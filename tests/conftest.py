@@ -17,7 +17,7 @@ from rankfair.ingest import (
 from rankfair.measures import (
     DegenerateGroupError,
     MeasureKind,
-    _check_group,
+    check_group,
     _kl_terms,
     _term_values,
     feasible_band,
@@ -93,7 +93,7 @@ def parity_term(
     protected items in the prefix: the scalar definition, checked for a
     feasible ``c``. The measures, normalizers and report use the vectorized
     ``_discounted_terms``, which yields this value divided by log2(i)."""
-    _check_group(n, n_plus)
+    check_group(n, n_plus)
     lo, hi = feasible_band(i, n, n_plus)
     if not lo <= c <= hi:
         raise ValueError(f"c={c} infeasible at cutoff {i} (range [{lo},{hi}])")

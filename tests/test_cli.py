@@ -220,6 +220,25 @@ class TestSweep:
         assert not list(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [["--agg-out", "s.csv"], ["--agg-out", "./sub/../s.csv"]],
+        ids=["same", "same_resolved"],
+    )
+    def test_outputs_naming_one_file_exit_2(
+        self, tmp_path, capsys, monkeypatch, outputs
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.5",
+            "--seeds", "2", "--out", "s.csv", *outputs,
+        ]
+        assert main(args) == 2
+        assert "--out and --agg-out name the same file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 class TestRank:
     def test_rank_by_column(self, dataset_csv, tmp_path, capsys):
         out = tmp_path / "ranked.csv"
@@ -417,6 +436,39 @@ class TestRank:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+DEGENERATE_GROUPS = {
+    "none_protected": (["--protected-less-than", "0"], "size 0 of 30"),
+    "all_protected": (["--protected-less-than", "100"], "size 30 of 30"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(DEGENERATE_GROUPS))
+@pytest.mark.parametrize("command", ["rank", "optimize"])
+def test_degenerate_group_exit_1_before_any_output(
+    dataset_csv, tmp_path, capsys, command, group
+):
+    """``rank`` and ``optimize`` reject a protected predicate that matches no
+    row, or every row, as ``measure`` does, and write nothing."""
+    predicate, size = DEGENERATE_GROUPS[group]
+    outputs = (
+        ["--out", str(tmp_path / "r.csv")]
+        if command == "rank"
+        else [
+            "--k", "2", "--iters", "2",
+            "--trace-out", str(tmp_path / "t.csv"),
+            "--model-out", str(tmp_path / "m.json"),
+            "--ranking-out", str(tmp_path / "r.csv"),
+        ]
+    )
+    args = [
+        command, dataset_csv, "--id-col", "id", "--protected-col", "age",
+        *predicate, "--score-col", "income", *outputs,
+    ]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: protected group {size} is degenerate\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["people.csv"]
+
+
 class TestOsErrors:
     """An unreadable input or unwritable output path exits 2 with the path the
     user gave, no traceback, and no temp file left behind."""
@@ -512,6 +564,21 @@ class TestOptimize:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
         assert not (tmp_path / "th.csv").exists()
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("--trace-out", "--model-out"), ("--trace-out", "--ranking-out"),
+         ("--model-out", "--ranking-out")],
+    )
+    def test_outputs_naming_one_file_exit_2(
+        self, dataset_csv, tmp_path, capsys, first, second
+    ):
+        args = self.base_args(dataset_csv, tmp_path, "s")
+        args[args.index(second) + 1] = args[args.index(first) + 1]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{first} and {second} name the same file" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["people.csv"]
 
     def test_categorical_feature_exit_2(self, tmp_path, capsys):
         path = tmp_path / "features.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,36 @@ class TestSweep:
         assert sweep(n, n_plus, f_grid, seeds, step) == reference_sweep(
             n, n_plus, f_grid, seeds, step
         )
+
+    def test_unsorted_grid_with_repeats_equals_reference(self):
+        grid, seeds = [0.7, 0.0, 0.7, 1.0, 0.3], [0, 1, 2]
+        assert sweep(50, 15, grid, seeds, 7) == reference_sweep(50, 15, grid, seeds, 7)
+
+    @pytest.mark.parametrize("k", [0, 17, 39])
+    def test_f_equal_to_a_draw_equals_reference(self, k):
+        """A draw equal to f counts as u >= f, at the seed's own step k."""
+        n, n_plus, seed = 40, 12, 5
+        f = float(np.random.default_rng(seed).random(n)[k])
+        grid = [0.0, f, 1.0]
+        assert sweep(n, n_plus, grid, [seed], 3) == (
+            reference_sweep(n, n_plus, grid, [seed], 3)
+        )
+        flags = np.arange(n) < n_plus
+        assert merge_order(flags, f, seed).tolist() == (
+            reference_merge_order(flags, f, seed).tolist()
+        )
+
+    def test_peak_memory_is_per_seed(self):
+        """One seed's draws, bins and counts at a time: an f-by-n array or a
+        batch of every seed's counts would exceed the bound."""
+        grid = [k / 10 for k in range(11)]
+        tracemalloc.start()
+        try:
+            sweep(10**5, 3 * 10**4, grid, [0, 1, 2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_csv_output(self, tmp_path):
         rows = sweep(20, 16, [0.0], [1])

@@ -1,8 +1,10 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankfair.measures import (
@@ -14,6 +16,7 @@ from rankfair.measures import (
     measure_from_flags,
     normalizer,
     report_to_json,
+    _row_sums,
     _term_values,
 )
 from rankfair.ranking import Ranking, build_schedule
@@ -174,6 +177,37 @@ class TestParityTerm:
     def test_infeasible_count(self):
         with pytest.raises(ValueError):
             parity_term(MeasureKind.RND, 10, 11, 20, 12)
+
+
+# finite values that a term row can sum without overflow, -0.0 and
+# subnormals included, mixed with magnitudes far apart
+SUMMAND = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1.0, 1e16, -1e16]
+)
+
+
+class TestRowSums:
+    """``_row_sums`` adds strictly left to right from 0.0, whatever the
+    Python version's ``sum()`` does."""
+
+    @given(
+        rows=st.integers(min_value=1, max_value=40).flatmap(
+            lambda m: st.lists(
+                st.lists(SUMMAND, min_size=m, max_size=m), min_size=1, max_size=4
+            )
+        )
+    )
+    @example(rows=[[0.1] * 10 + [1e16, 1.0, -1e16]])
+    @example(rows=[[-0.0, -0.0], [-0.0, 5e-324]])
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_sequential_sum(self, rows):
+        got = _row_sums(np.array(rows)).tolist()
+        want = [functools.reduce(operator.add, row, 0.0) for row in rows]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_all_negative_zero_row_sums_to_positive_zero(self):
+        got = _row_sums(np.array([-0.0, -0.0, -0.0]))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 class TestUnnormalizedSum:

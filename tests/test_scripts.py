@@ -69,3 +69,11 @@ def test_sweep_zero_grid_step_is_a_usage_error(tmp_path):
     assert proc.returncode == 2
     assert "--grid-step" in proc.stderr and "Traceback" not in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid_step", ["nan", "inf"])
+def test_sweep_non_finite_grid_step_is_a_usage_error(tmp_path, grid_step):
+    proc = run_sweep_script(tmp_path, grid_step)
+    assert proc.returncode == 2
+    assert "--grid-step" in proc.stderr and "--f-grid" not in proc.stderr
+    assert not list(tmp_path.iterdir())
