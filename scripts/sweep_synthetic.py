@@ -34,7 +34,10 @@ def main() -> None:
 
     if not (math.isfinite(args.grid_step) and args.grid_step > 0):
         ap.error(f"--grid-step must be a finite number above 0, got {args.grid_step}")
-    f_grid = parse_f_grid(f"0:1:{args.grid_step}")
+    try:
+        f_grid = parse_f_grid(f"0:1:{args.grid_step}")
+    except ValueError as exc:
+        ap.error(f"--grid-step {args.grid_step}: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -25,13 +25,19 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
+# more f values than any sweep needs; a tiny step is a usage error, not a
+# loop that never returns
+MAX_F_GRID_VALUES = 10**6
+
+
 class _UsageError(ValueError):
     pass
 
 
 def parse_f_grid(text: str) -> list[float]:
     """The f values ``start, start + step, ...`` up to ``stop`` inclusive, and
-    past 1 by at most one value; a malformed grid raises ValueError."""
+    past 1 by at most one value; a malformed grid, or one of more than
+    ``MAX_F_GRID_VALUES`` values, raises ValueError."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"expected start:stop:step, got {text!r}")
@@ -43,6 +49,13 @@ def parse_f_grid(text: str) -> list[float]:
         raise _UsageError(f"--f-grid needs finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"bad f-grid {text!r}")
+    # the loop below ends at stop or at the first value past 1
+    count = (min(stop + 1e-9, max(start, 1.0) + step) - start) // step + 1
+    if count > MAX_F_GRID_VALUES:
+        raise _UsageError(
+            f"f-grid {text!r} has {count:,.0f} values, more than "
+            f"{MAX_F_GRID_VALUES:,}"
+        )
     grid = []
     v = start
     # a value above 1 is rejected later, so the grid need not grow past it
@@ -61,6 +74,11 @@ def _require_distinct_outputs(*flag_paths: tuple[str, str]) -> None:
         if key in seen:
             raise _UsageError(f"{seen[key]} and {flag} name the same file {path}")
         seen[key] = flag
+
+
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {seed}")
 
 
 def _protected_spec(args) -> ingest.ProtectedSpec:
@@ -102,6 +120,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _require_seed(args.seed)
     have_counts = args.n is not None or args.n_plus is not None
     if have_counts == (args.base is not None):
         raise _UsageError("give either --n/--n-plus or --base, not both")
@@ -159,6 +178,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _require_seed(args.seed)
     _require_distinct_outputs(
         ("--trace-out", args.trace_out),
         ("--model-out", args.model_out),

@@ -12,6 +12,13 @@ prototype assignments between the protected and nonprotected groups (L_z,
 L1 distance between group-mean assignment vectors). Training is full-batch
 gradient descent with an analytic gradient and a fixed learning rate,
 deterministic given the seed.
+
+The training kernels work column by column: a sum over one row's m features
+or K prototypes is one vectorized add per column over all n rows, never a
+reduction over a short row. The adds follow numpy's pairwise order for a row
+sum, so every value is bit for bit what ``np.sum(axis=1)`` gives; the model
+files store the prototypes at full precision, and a different order would
+change their last digits.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import json
 import math
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +65,8 @@ class FeatureMatrix:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "protected", np.asarray(self.protected, dtype=bool))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        if self.x.ndim != 2 or self.x.shape[1] < 1:
+            raise ValueError("features must be an (n, m) matrix with m >= 1")
         n = self.x.shape[0]
         if self.protected.shape != (n,) or self.y.shape != (n,) or len(self.ids) != n:
             raise ValueError("feature matrix, flags, scores and ids must align")
@@ -112,12 +121,17 @@ class Hyperparams:
         for name in ("a_x", "a_y", "a_z", "learning_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if min(self.a_x, self.a_y, self.a_z) < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("a_x", "a_y", "a_z"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if max(self.a_x, self.a_y, self.a_z) <= 0:
             raise ValueError("at least one loss weight must be positive")
-        if self.k < 1 or self.learning_rate <= 0 or self.max_iters < 1:
-            raise ValueError("bad hyperparameters")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,36 @@ class TraceRecord:
     score_diff: float
 
 
+def _pairwise_row_sums(columns: Iterable[np.ndarray], width: int) -> np.ndarray:
+    """Row sums of the (n, width) matrix whose columns ``columns`` yields left
+    to right, bit for bit ``np.sum(a, axis=1)`` of that matrix held
+    C-contiguous. numpy sums a contiguous row pairwise and adds the result to
+    +0.0; doing the same adds column by column costs one vectorized add per
+    column instead of one reduction per short row."""
+    return _pairwise(iter(columns), width) + 0.0
+
+
+def _pairwise(columns: Iterator[np.ndarray], width: int) -> np.ndarray:
+    """numpy's pairwise order over the next ``width`` columns: one after
+    another below 8; up to 128, eight running sums closed by a fixed tree,
+    then the remainder; above 128, two halves, the first a multiple of 8."""
+    if width > 128:
+        half = width // 2 - width // 2 % 8
+        return _pairwise(columns, half) + _pairwise(columns, width - half)
+    if width < 8:
+        total = next(columns)
+        for _ in range(width - 1):
+            total = total + next(columns)
+        return total
+    r = [next(columns) for _ in range(8)]
+    for _ in range(width // 8 - 1):
+        r = [acc + next(columns) for acc in r]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for _ in range(width % 8):
+        total = total + next(columns)
+    return total
+
+
 def soft_assignments(features: FeatureMatrix, model: PrototypeModel) -> np.ndarray:
     """(n, K) row-stochastic matrix: softmax over negative squared distances
     to the prototypes, computed with max subtraction."""
@@ -141,40 +185,55 @@ def soft_assignments(features: FeatureMatrix, model: PrototypeModel) -> np.ndarr
             f"feature dim {features.m} != prototype dim "
             f"{model.prototypes.shape[1]}"
         )
-    x, v = features.x, model.prototypes
-    logits = np.empty((features.n, model.k))
+    out = np.empty((features.n, model.k))
+    logits = out.T  # one row per prototype, a strided view of out's columns
     # overflow here just produces non-finite assignments, which training
     # reports as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        # one prototype at a time: no (n, K, m) temporary, and each row sum
-        # reduces the same m contiguous values as a broadcast would
-        for k in range(model.k):
-            d = x - v[k]
-            logits[:, k] = -np.sum(d * d, axis=1)
-        logits -= logits.max(axis=1, keepdims=True)
-        expd = np.exp(logits)
-        return expd / expd.sum(axis=1, keepdims=True)
+        # column by column: every temporary is one column of n floats
+        for logit, v_k in zip(logits, model.prototypes):
+            diffs = (col - t for col, t in zip(features.x.T, v_k))
+            squares = (np.square(d, out=d) for d in diffs)
+            np.negative(_pairwise_row_sums(squares, features.m), out=logit)
+        # the maximum is exact in any order
+        top = logits[0].copy()
+        for logit in logits[1:]:
+            np.maximum(top, logit, out=top)
+        out -= top[:, None]
+        np.exp(out, out=out)
+        out /= _pairwise_row_sums(logits, model.k)[:, None]
+    return out
 
 
 class _Forward(NamedTuple):
-    """One forward pass: assignments, reconstructions and estimated scores."""
+    """One forward pass: assignments, reconstruction residuals, estimated
+    scores and the two groups' mean assignment vectors."""
 
     m_mat: np.ndarray  # (n, K)
-    x_hat: np.ndarray  # (n, m)
+    residual: np.ndarray  # (n, m), x_hat - x
     y_hat: np.ndarray  # (n,)
+    mu_p: np.ndarray  # (K,), protected rows
+    mu_m: np.ndarray  # (K,), nonprotected rows
 
 
 def _forward(features: FeatureMatrix, model: PrototypeModel) -> _Forward:
     m_mat = soft_assignments(features, model)
-    return _Forward(m_mat, m_mat @ model.prototypes, m_mat @ model.score_weights)
+    residual = m_mat @ model.prototypes
+    residual -= features.x
+    return _Forward(
+        m_mat,
+        residual,
+        m_mat @ model.score_weights,
+        m_mat[features.protected].mean(axis=0),
+        m_mat[~features.protected].mean(axis=0),
+    )
 
 
 def _losses(features: FeatureMatrix, fwd: _Forward) -> tuple[float, float, float]:
-    l_x = float(np.mean(np.sum((features.x - fwd.x_hat) ** 2, axis=1)))
+    squares = (np.square(col) for col in fwd.residual.T)
+    l_x = float(np.mean(_pairwise_row_sums(squares, features.m)))
     l_y = float(np.mean(np.abs(features.y - fwd.y_hat)))
-    mu_p = fwd.m_mat[features.protected].mean(axis=0)
-    mu_m = fwd.m_mat[~features.protected].mean(axis=0)
-    l_z = float(np.sum(np.abs(mu_p - mu_m)))
+    l_z = float(np.sum(np.abs(fwd.mu_p - fwd.mu_m)))
     return l_x, l_y, l_z
 
 
@@ -191,40 +250,52 @@ def total_loss(
     return hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
 
 
+def _group_scale(features: FeatureMatrix) -> np.ndarray:
+    """d L_z / d mu_p - d mu_m per row: 1/n_p on protected rows, -1/n_m on
+    the others."""
+    n_p = int(np.count_nonzero(features.protected))
+    return np.where(features.protected, 1.0 / n_p, -1.0 / (features.n - n_p))
+
+
 def _gradient(
     features: FeatureMatrix,
     model: PrototypeModel,
     hyper: Hyperparams,
     fwd: _Forward,
+    group_scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    x, y, prot = features.x, features.y, features.protected
     n = features.n
     v, w = model.prototypes, model.score_weights
-    m_mat, x_hat, y_hat = fwd
+    m_mat, residual = fwd.m_mat, fwd.residual
 
-    sy = np.sign(y_hat - y)
-    mu_p = m_mat[prot].mean(axis=0)
-    mu_m = m_mat[~prot].mean(axis=0)
-    sz = np.sign(mu_p - mu_m)
-    n_p = int(prot.sum())
-    n_m = n - n_p
+    sy = np.sign(fwd.y_hat - features.y)
+    sz = np.sign(fwd.mu_p - fwd.mu_m)
 
-    # dL/dM, holding the explicit v-dependence of x_hat fixed
+    # dL/dM, holding the explicit v-dependence of x_hat fixed; the terms
+    # share one (n, K) buffer instead of allocating an array each
     g = np.zeros_like(m_mat)
+    term = np.empty_like(m_mat)
     if hyper.a_x:
-        g += hyper.a_x * (2.0 / n) * ((x_hat - x) @ v.T)
+        np.matmul(residual, v.T, out=term)
+        term *= hyper.a_x * (2.0 / n)
+        g += term
     if hyper.a_y:
-        g += hyper.a_y * (1.0 / n) * np.outer(sy, w)
+        np.multiply(sy[:, None], w, out=term)
+        term *= hyper.a_y * (1.0 / n)
+        g += term
     if hyper.a_z:
-        group_scale = np.where(prot, 1.0 / n_p, -1.0 / n_m)
-        g += hyper.a_z * group_scale[:, None] * sz[None, :]
+        np.multiply(hyper.a_z * group_scale[:, None], sz, out=term)
+        g += term
 
-    # back through the row-wise softmax over logits a_nk = -||x_n - v_k||^2
-    b = m_mat * (g - np.sum(g * m_mat, axis=1, keepdims=True))
+    # back through the row-wise softmax over logits a_nk = -||x_n - v_k||^2:
+    # b = M * (g - rowsum(g * M)), built in g
+    np.multiply(g, m_mat, out=term)
+    g -= _pairwise_row_sums(term.T, model.k)[:, None]
+    b = np.multiply(g, m_mat, out=g)
     # d a_nk / d v_k = 2 (x_n - v_k)
-    grad_v = 2.0 * (b.T @ x - b.sum(axis=0)[:, None] * v)
+    grad_v = 2.0 * (b.T @ features.x - b.sum(axis=0)[:, None] * v)
     if hyper.a_x:
-        grad_v += hyper.a_x * (2.0 / n) * (m_mat.T @ (x_hat - x))
+        grad_v += hyper.a_x * (2.0 / n) * (m_mat.T @ residual)
     grad_w = hyper.a_y * (1.0 / n) * (m_mat.T @ sy)
     return grad_v, grad_w
 
@@ -234,7 +305,9 @@ def gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the total loss w.r.t. prototypes and score
     weights. The absolute-value terms use subgradient 0 at exact ties."""
-    return _gradient(features, model, hyper, _forward(features, model))
+    return _gradient(
+        features, model, hyper, _forward(features, model), _group_scale(features)
+    )
 
 
 def accuracy_score_diff(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -289,6 +362,7 @@ def train(
 
     id_ranks = id_rank(features.ids)
     scale = Scale.of(features.n, int(np.count_nonzero(features.protected)), step)
+    group_scale = _group_scale(features)
     traces: list[TraceRecord] = []
     prev_total: Optional[float] = None
     for it in range(hyper.max_iters):
@@ -307,7 +381,7 @@ def train(
         ):
             break
         prev_total = rec.total
-        grad_v, grad_w = _gradient(features, model, hyper, fwd)
+        grad_v, grad_w = _gradient(features, model, hyper, fwd, group_scale)
         v = v - hyper.learning_rate * grad_v
         w = w - hyper.learning_rate * grad_w
     return PrototypeModel(prototypes=v, score_weights=w), traces

@@ -2,6 +2,7 @@ import argparse
 import errno
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,16 @@ class TestGenerate:
         assert main(args) == 2
         assert not out.exists()
 
+    def test_negative_seed_exit_2_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        args = [
+            "generate", "--base", str(tmp_path / "missing.csv"), "--f", "0.5",
+            "--seed", "-1", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_contradictory_flags_exit_2(self, tmp_path, segregated_csv):
         out = tmp_path / "g.csv"
         args = [
@@ -185,6 +196,24 @@ class TestSweep:
         assert main(args) == 2
         assert "--f-grid" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_grid_over_the_value_limit_exit_2_at_once(self, tmp_path, capsys):
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:1e-20",
+            "--out", str(tmp_path / "s.csv"),
+        ]
+        start = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "has 100,000,000,000,000,000,000 values, more than 1,000,000" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "grid,size", [("0:1:0.001", 1001), ("0:1:1.0000001e-6", 10**6)]
+    )
+    def test_grid_up_to_the_limit_is_built(self, grid, size):
+        assert len(cli.parse_f_grid(grid)) == size
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_seeds_below_one_exit_2(self, tmp_path, capsys, seeds):
@@ -579,6 +608,27 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert f"{first} and {second} name the same file" in err
         assert [p.name for p in tmp_path.iterdir()] == ["people.csv"]
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--k", "0", "k must be >= 1, got 0"),
+         ("--lr", "0", "learning_rate must be > 0, got 0.0"),
+         ("--iters", "0", "max_iters must be >= 1, got 0")],
+    )
+    def test_hyperparameter_out_of_range_exit_1(
+        self, dataset_csv, tmp_path, capsys, flag, value, message
+    ):
+        args = self.base_args(dataset_csv, tmp_path, "h") + [flag, value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "th.csv").exists()
+
+    def test_negative_seed_exit_2_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        args = self.base_args(missing, tmp_path, "s") + ["--seed", "-1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not list(tmp_path.iterdir())
 
     def test_categorical_feature_exit_2(self, tmp_path, capsys):
         path = tmp_path / "features.csv"

@@ -66,6 +66,12 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             feature_matrix([[0.0], [1.0]], [True, False], [0.1, 1.5])
 
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            FeatureMatrix(
+                x=np.empty((2, 0)), protected=[True, False], y=[0.1, 0.5], ids=("a", "b")
+            )
+
 
 def reference_soft_assignments(features, model):
     """The (n, K, m) broadcast form of the softmax over negative squared

@@ -4,6 +4,7 @@ arguments and writes the files it documents."""
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,17 @@ def test_sweep_non_finite_grid_step_is_a_usage_error(tmp_path, grid_step):
     assert proc.returncode == 2
     assert "--grid-step" in proc.stderr and "--f-grid" not in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_sweep_grid_over_the_value_limit_is_a_usage_error(tmp_path):
+    """The grid size is checked before the grid is built: a 1e-20 step exits
+    at start-up instead of looping through 1e20 values."""
+    start = time.perf_counter()
+    proc = run_sweep_script(tmp_path, "1e-20")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert "--grid-step 1e-20" in proc.stderr and "more than 1,000,000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+    # interpreter and numpy start-up included
+    assert elapsed < 10.0
