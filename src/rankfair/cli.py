@@ -107,6 +107,7 @@ def cmd_measure(args) -> int:
         note = f"rRD (majority override) = {rrd:.6f}"
     else:
         note = None
+    del rk  # free the ids, most of the memory of a large ranking, before the text
     text = measures.report_to_json(report)
     if args.out:
         with ranking.open_atomic(args.out) as fh:

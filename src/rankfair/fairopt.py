@@ -336,12 +336,12 @@ def _trace(
     hyper: Hyperparams,
     fwd: _Forward,
     scale: Scale,
-    id_ranks: np.ndarray,
+    id_order: np.ndarray,
     iteration: int,
 ) -> TraceRecord:
     l_x, l_y, l_z = _losses(features, fwd)
     total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-    flags = features.protected[rank_order(fwd.y_hat, id_ranks)]
+    flags = features.protected[rank_order(fwd.y_hat, id_order)]
     _, [values] = scale.measure(np.cumsum(flags)[scale.cutoffs - 1])
     score_diff = accuracy_score_diff(features.y, fwd.y_hat)
     return TraceRecord(iteration, total, l_x, l_y, l_z, *values, score_diff)
@@ -360,7 +360,7 @@ def train(
     v = features.x[idx].copy()
     w = np.full(hyper.k, 0.5)
 
-    id_ranks = id_rank(features.ids)
+    id_order = id_rank(features.ids)
     scale = Scale.of(features.n, int(np.count_nonzero(features.protected)), step)
     group_scale = _group_scale(features)
     traces: list[TraceRecord] = []
@@ -369,7 +369,7 @@ def train(
         model = PrototypeModel(prototypes=v, score_weights=w)
         # one forward pass feeds the trace record and the gradient step
         fwd = _forward(features, model)
-        rec = _trace(features, hyper, fwd, scale, id_ranks, it)
+        rec = _trace(features, hyper, fwd, scale, id_order, it)
         if not np.isfinite(rec.total):
             raise DivergenceError(it)
         traces.append(rec)

@@ -1,13 +1,15 @@
 """Tabular datasets: loading, protected-group derivation and score-based ranking.
 
-Columns are arrays, typed once at load time: float64 when every value parses
-with Python's ``float()``, else strings. A missing value is an error unless its
-row is dropped; nothing is imputed. Rows rank by descending score, ties broken
-by ascending row id, so repeated runs are byte-identical.
+Columns are arrays, typed block by block as the file is read: float64 when
+every value in the column parses with Python's ``float()``, else strings. A
+missing value is an error unless its row is dropped; nothing is imputed. Rows
+rank by descending score, ties broken by ascending row id, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,6 +26,9 @@ class TableLoadError(ValueError):
 
 class UnknownColumnError(KeyError):
     """A spec references a column the table does not have."""
+
+    def __str__(self) -> str:
+        return f"unknown column {self.args[0]!r}"
 
 
 class SpecError(ValueError):
@@ -89,49 +94,87 @@ def load_table(
 ) -> DatasetTable:
     """Load a headered CSV; without ``row_id_column`` rows are numbered from 1.
     Each block of rows is checked as it is read: a ragged row raises at once, a
-    missing cell only after the last block, so a ragged row anywhere wins."""
+    missing cell only after the last block, so a ragged row anywhere wins.
+
+    Each block is typed as it arrives: a column is kept as floats while every
+    value so far parses, and its text is dropped (the row-id column keeps it).
+    A column that first fails to parse in a later block turns to text there,
+    and its earlier text is read again from the file at the end."""
     path = Path(path)
     with open_csv(path, TableLoadError) as (header, blocks):
         if repeated := duplicates(header):
             raise TableLoadError(f"{path}: duplicate column {repeated[0]!r}")
         if row_id_column is not None and row_id_column not in header:
             raise UnknownColumnError(row_id_column)
+        id_pos = None if row_id_column is None else header.index(row_id_column)
         width = len(header)
-        cols: list[list[str]] = [[] for _ in header]
+        # per column: its floats while every value parses, else its text
+        columns: list[array | list[str]] = [array("d") for _ in header]
+        ids: list[str] = []
+        reread: dict[int, int] = {}  # column -> rows typed before it failed
         n_rows, incomplete = 0, []
         for first, rows in blocks:
             if set(map(len, rows)) != {width}:
                 line, row = next((i, r) for i, r in enumerate(rows, first) if len(r) != width)
                 raise TableLoadError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-            kept = [row for row in rows if "" not in row]
-            if len(kept) < len(rows):
+            cols = list(zip(*rows))
+            if any("" in col for col in cols):
                 incomplete += [(i, row) for i, row in enumerate(rows, first) if "" in row]
-            for col, values in zip(cols, zip(*kept)):
-                col.extend(values)
-            n_rows += len(kept)
+                rows = [row for row in rows if "" not in row]
+                cols = list(zip(*rows))
+            if id_pos is not None and rows:
+                ids += cols[id_pos]
+            for j, col in enumerate(cols):
+                values = columns[j]
+                if isinstance(values, array):
+                    try:
+                        values.extend(map(float, col))
+                        continue
+                    except ValueError:
+                        reread[j] = n_rows
+                        values = columns[j] = []
+                values += col
+            n_rows += len(rows)
     if incomplete and not drop_incomplete_rows:
         line, row = incomplete[0]
         missing = header[row.index("")]
         raise TableLoadError(f"{path}:{line}: missing value in column {missing!r}")
     if not n_rows:
         raise TableLoadError(f"{path}: no data rows")
-    if row_id_column is not None:
-        row_ids = tuple(cols[header.index(row_id_column)])
-    else:
-        row_ids = tuple(str(i) for i in range(1, n_rows + 1))
+    row_ids = tuple(ids) if id_pos is not None else tuple(map(str, range(1, n_rows + 1)))
+    del ids  # before the repeat check's arrays are made
     repeated = duplicates(row_ids)
     if repeated:
         raise TableLoadError(f"{path}: duplicate row id {repeated[0]!r}")
 
+    earlier = _first_rows(path, reread) if reread else {}
     data = {}
-    for name, col in zip(header, cols):
-        try:
-            data[name] = np.fromiter(map(float, col), dtype=float, count=len(col))
-        except ValueError:
-            data[name] = np.array(col, dtype=object)
-        data[name].flags.writeable = False
+    for j, (name, values) in enumerate(zip(header, columns)):
+        if isinstance(values, array):
+            col = np.frombuffer(values, dtype=float)
+        else:
+            head = earlier.get(j, [])
+            col = np.empty(n_rows, dtype=object)
+            col[: len(head)] = head
+            col[len(head) :] = values
+        col.flags.writeable = False
+        data[name] = col
     dropped = tuple(f"line {i}" for i, _ in incomplete)
     return DatasetTable(tuple(header), row_ids, data, dropped)
+
+
+def _first_rows(path: Path, counts: dict[int, int]) -> dict[int, list[str]]:
+    """The text of column ``j`` in the first ``counts[j]`` complete rows, for
+    each ``j``: read again from the file with ``load_table``'s row filter."""
+    text: dict[int, list[str]] = {j: [] for j in counts}
+    with open_csv(path, TableLoadError) as (_, blocks):
+        for _, rows in blocks:
+            if all(len(text[j]) == count for j, count in counts.items()):
+                break
+            rows = [row for row in rows if "" not in row]
+            for j, col in text.items():
+                col += (row[j] for row in rows[: counts[j] - len(col)])
+    return text
 
 
 def require_finite(table: DatasetTable, name: str) -> None:

@@ -5,17 +5,23 @@ A ranking is three parallel columns in rank order (ids, protected flags,
 optional scores), validated once when built and read-only after; position 1 is
 the best. Ingest and the optimizer order rows by one routine.
 
-Both readers open their input through ``open_csv``. Every output file, CSV or
-not, is written through ``open_atomic``: UTF-8 with LF line endings, put in
-place by a rename only once it is complete. Reals are written by ``fmt``.
+Both readers open their input through ``open_csv`` and take it in blocks of
+256 rows, each transposed once into columns that are checked and typed in
+bulk; a row is looked at on its own only when a bulk check fails. Every output
+file, CSV or not, is written through ``open_atomic``: UTF-8 with LF line
+endings, put in place by a rename only once it is complete. Reals are written
+with 6 decimals, as ``fmt`` writes them.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import os
+import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,11 +43,16 @@ class RankingFormatError(ValueError):
 
 
 def duplicates(ids: Sequence[str]) -> list[str]:
-    """Every id equal to an earlier one, in order."""
-    if len(set(ids)) == len(ids):
+    """Every id equal to an earlier one, in order. Ids are compared only where
+    their hashes are equal, so no set of every id is built."""
+    hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
+    hashes.sort()
+    shared = hashes[1:][hashes[1:] == hashes[:-1]]
+    if not shared.size:
         return []
+    rows = np.isin(np.fromiter(map(hash, ids), np.int64, len(ids)), shared)
     seen: set[str] = set()
-    return [rid for rid in ids if rid in seen or seen.add(rid)]
+    return [ids[r] for r in np.flatnonzero(rows).tolist() if ids[r] in seen or seen.add(ids[r])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,22 +88,21 @@ class Ranking:
 
 
 def id_rank(ids: Sequence[str]) -> np.ndarray:
-    """Each row's position among the ids in Python string order (equal ids
-    keep their row order)."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
+    """The row indices with the ids in Python string order (equal ids keep
+    their row order): the tie order of ``rank_order``."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
-def rank_order(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
-    """Row indices by descending score, ties broken by ascending id."""
-    return np.lexsort((id_ranks, -scores))
+def rank_order(scores: np.ndarray, id_order: np.ndarray) -> np.ndarray:
+    """Row indices by descending score, ties broken by ascending id: one
+    stable sort of the scores taken in ``id_rank`` order."""
+    return id_order[np.argsort(-scores[id_order], kind="stable")]
 
 
 def rank_by_score(ids: Sequence[str], flags: Sequence[bool], scores: np.ndarray) -> Ranking:
     """The ranking of rows by descending score, ties broken by ascending id."""
     order = rank_order(scores, id_rank(ids))
-    ranked_ids = [ids[r] for r in order.tolist()]
+    ranked_ids = tuple(np.array(ids, dtype=object)[order])
     return Ranking(ranked_ids, np.asarray(flags)[order], scores[order])
 
 
@@ -112,19 +122,23 @@ def build_schedule(n: int, step: int = 10) -> np.ndarray:
     return cutoffs
 
 
-_BLOCK_ROWS = 1 << 12
+# A block holds fewer row lists than the 700 net allocations that start a
+# young-generation garbage collection, so a block is mostly freed before any
+# collection scans it or promotes it to an older generation.
+_BLOCK_ROWS = 256
 _Blocks = Iterator[tuple[int, list[list[str]]]]
 
 
 @contextmanager
 def open_csv(path: Path, error: type[Exception]) -> Iterator[tuple[list[str], _Blocks]]:
     """The header of a CSV file and its other rows as ``(first_line, rows)``
-    blocks of at most 4096 rows; the header is line 1, one line per record.
-    ``error`` is raised when the file is missing or empty, is not UTF-8, or has
-    a record the csv module rejects, such as a field over its size limit."""
+    blocks of at most ``_BLOCK_ROWS`` rows; the header is line 1, one line per
+    record. A UTF-8 byte order mark before the header is skipped. ``error`` is
+    raised when the file is missing or empty, is not UTF-8, or has a record the
+    csv module rejects, such as a field over its size limit."""
     if not path.exists():
         raise error(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -182,25 +196,44 @@ def fmt(x: Optional[float], missing: str = "") -> str:
     return missing if x is None else f"{x:.6f}"
 
 
+_ROW = "{},{},{:.6f}\n".format
+_ROW_NO_SCORE = "{},{},\n".format
+# every character that can make csv.writer quote a field, on any Python version
+_QUOTED_CHAR = re.compile('[,"\r\n]').search
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` quoted as ``csv.writer`` quotes one field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
     """Write the ranking CSV format: header ``id,protected,score``, rows in
-    rank order; a missing score is empty."""
-    scores = [""] * ranking.n
-    if ranking.scores is not None:
-        scores = ["" if s != s else fmt(s) for s in ranking.scores.tolist()]
-    write_csv(
-        path,
-        ["id", "protected", "score"],
-        zip(ranking.ids, ranking.flags.view(np.uint8).tolist(), scores),
-    )
+    rank order; a missing score is empty. The bytes are those of
+    ``write_csv`` with each score written by ``fmt``."""
+    ids: Iterable[str] = ranking.ids
+    if _QUOTED_CHAR("".join(ranking.ids)):
+        ids = map(_csv_cell, ranking.ids)
+    flags = ranking.flags.view(np.uint8).tolist()
+    scores = [math.nan] * ranking.n if ranking.scores is None else ranking.scores.tolist()
+    with open_atomic(path) as fh:
+        fh.write("id,protected,score\n")
+        fh.writelines(
+            _ROW(rid, flag, s) if s == s else _ROW_NO_SCORE(rid, flag)
+            for rid, flag, s in zip(ids, flags, scores)
+        )
 
 
 def read_ranking_csv(path: str | Path) -> Ranking:
-    """Read the ranking CSV format. Columns are filled in bulk, a block of rows
-    at a time, so a large file is never held as row lists all at once; rows are
-    parsed one by one only when a bulk check fails."""
+    """Read the ranking CSV format. Each block of rows is transposed into
+    columns, whose flags and scores are checked in bulk; its rows are parsed
+    one by one only when a check fails. Each column grows in one buffer, so
+    no block outlives its turn."""
     path = Path(path)
-    ids, flags, scores = [], [np.empty(0, bool)], [np.empty(0)]
+    ids: list[str] = []
+    flags, scores = bytearray(), array("d")
     with open_csv(path, RankingFormatError) as (header, blocks):
         if header[:2] != ["id", "protected"]:
             raise RankingFormatError(
@@ -208,18 +241,28 @@ def read_ranking_csv(path: str | Path) -> Ranking:
             )
         has_score = len(header) > 2 and header[2] == "score"
         for lineno, rows in blocks:
+            # zip stops at the shortest row, so a short row leaves a column out
+            cols = list(zip(*rows))
             try:
                 # a short row, a bad flag or score, or an empty score takes the row scan
-                valid_flags = {"0", "1"}.issuperset([row[1] for row in rows])
-                block = np.array([float(row[2]) for row in rows]) if has_score else None
-                if not valid_flags or has_score and not np.isfinite(block).all():
-                    raise ValueError("malformed row")
+                if not {"0", "1"}.issuperset(cols[1]):
+                    raise ValueError("bad flag")
+                if has_score:
+                    block = np.fromiter(map(float, cols[2]), float, len(rows))
+                    if not np.isfinite(block).all():
+                        raise ValueError("non-finite score")
+                    scores.frombytes(block.tobytes())
             except (IndexError, ValueError):
-                block = _parse_rows(path, rows, has_score, lineno)
-            ids += [row[0] for row in rows]
-            flags.append(np.array([row[1] == "1" for row in rows], dtype=bool))
-            scores.append(block)
-    return Ranking(ids, np.concatenate(flags), np.concatenate(scores) if has_score else None)
+                scores.fromlist(_parse_rows(path, rows, has_score, lineno))
+            ids += cols[0]
+            flags += "".join(cols[1]).encode()
+    ranked_ids = tuple(ids)
+    del ids  # before ``Ranking`` checks the ids for repeats
+    return Ranking(
+        ranked_ids,
+        np.frombuffer(flags, np.uint8) == ord("1"),
+        np.frombuffer(scores) if has_score else None,
+    )
 
 
 def _parse_rows(path: Path, rows: list[list[str]], has_score: bool, lineno: int) -> list:

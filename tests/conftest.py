@@ -161,12 +161,39 @@ def reference_merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
     return np.concatenate([merged, *tails])
 
 
+def reference_id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position among the ids in Python string order (equal ids
+    keep their row order)."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def reference_rank_order(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
+    """Reference for ``rank_order``: row indices by descending score, ties
+    broken by ascending id rank, from ``np.lexsort``."""
+    return np.lexsort((id_ranks, -scores))
+
+
+def reference_write_ranking_csv(ranking: Ranking, path) -> None:
+    """Reference for ``write_ranking_csv``: every row through ``csv.writer``,
+    each score written by ``fmt`` (empty when NaN or absent)."""
+    scores = [""] * ranking.n
+    if ranking.scores is not None:
+        scores = ["" if s != s else f"{s:.6f}" for s in ranking.scores.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "protected", "score"])
+        writer.writerows(zip(ranking.ids, ranking.flags.view(np.uint8).tolist(), scores))
+
+
 # --- per-row references -------------------------------------------------------
 #
 # The per-row ``Item`` parsers and ranker that the columnar ``ranking`` and
-# ``ingest`` code replaced, kept verbatim as references. Two adaptations: a
-# ranking is returned as its validated tuple of ``Item``s, and the validation
-# is the old ``validation_errors`` loop over those items.
+# ``ingest`` code replaced, kept verbatim as references. Three adaptations: a
+# ranking is returned as its validated tuple of ``Item``s, the validation is
+# the old ``validation_errors`` loop over those items, and a file is read as
+# ``utf-8-sig``, which skips a leading byte order mark as ``open_csv`` does.
 
 
 @dataclass(frozen=True)
@@ -199,7 +226,7 @@ def reference_read_ranking_csv(path) -> tuple[Item, ...]:
     path = Path(path)
     if not path.exists():
         raise RankingFormatError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -262,7 +289,7 @@ def reference_load_table(
     path = Path(path)
     if not path.exists():
         raise TableLoadError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -292,6 +292,40 @@ class TestRank:
         assert main(args) == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--id-col", "--protected-col", "--score-col"])
+    def test_unknown_column_names_it(self, dataset_csv, tmp_path, capsys, flag):
+        columns = {"--id-col": "id", "--protected-col": "age", "--score-col": "income"}
+        columns[flag] = "nope"
+        args = ["rank", dataset_csv, "--protected-less-than", "25", "--out", str(tmp_path / "r.csv")]
+        args += [word for pair in columns.items() for word in pair]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: unknown column 'nope'\n"
+
+    def test_byte_order_mark_is_skipped(self, dataset_csv, tmp_path, capsys):
+        """A dataset saved with a UTF-8 BOM (Excel's "CSV UTF-8") ranks as
+        the same file without it, and so does the ranking it gives."""
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(dataset_csv).read_bytes())
+        outs = []
+        for src in (dataset_csv, marked):
+            out = tmp_path / f"ranked_{len(outs)}.csv"
+            args = [
+                "rank", str(src), "--id-col", "id", "--protected-col", "age",
+                "--protected-less-than", "30", "--score-sum", "income", "debt",
+                "--out", str(out),
+            ]
+            assert main(args) == 0
+            outs.append(out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
+        marked_ranking = tmp_path / "marked_ranking.csv"
+        marked_ranking.write_bytes(b"\xef\xbb\xbf" + outs[0].read_bytes())
+        reports = []
+        for src in (outs[0], marked_ranking):
+            assert main(["measure", str(src)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_missing_value_exit_1(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("id,v\na,1\nb,\n")

@@ -356,7 +356,7 @@ def with_ids(features, ids):
 
 class TestSharedForwardPass:
     """``train`` runs one forward pass per iteration and ranks the trace
-    with ``np.lexsort``; it must match the per-call reference exactly."""
+    with ``rank_order``; it must match the per-call reference exactly."""
 
     HYPERS = [
         Hyperparams(k=5, max_iters=25, seed=12),

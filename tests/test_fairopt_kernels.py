@@ -24,7 +24,8 @@ from rankfair.fairopt import (
     train,
 )
 from rankfair.measures import Scale
-from rankfair.ranking import id_rank, rank_order
+
+from conftest import reference_id_rank, reference_rank_order
 
 # --- frozen references: the per-prototype, row-wise kernels -------------------
 
@@ -96,7 +97,7 @@ def frozen_train(features, hyper, step=10):
     idx = rng.choice(features.n, size=hyper.k, replace=False)
     v = features.x[idx].copy()
     w = np.full(hyper.k, 0.5)
-    id_ranks = id_rank(features.ids)
+    id_ranks = reference_id_rank(features.ids)
     scale = Scale.of(features.n, int(np.count_nonzero(features.protected)), step)
     traces = []
     for it in range(hyper.max_iters):
@@ -104,7 +105,7 @@ def frozen_train(features, hyper, step=10):
         fwd = frozen_forward(features, model)
         l_x, l_y, l_z = frozen_losses(features, fwd)
         total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-        flags = features.protected[rank_order(fwd.y_hat, id_ranks)]
+        flags = features.protected[reference_rank_order(fwd.y_hat, id_ranks)]
         _, [values] = scale.measure(np.cumsum(flags)[scale.cutoffs - 1])
         score_diff = accuracy_score_diff(features.y, fwd.y_hat)
         traces.append(TraceRecord(it, total, l_x, l_y, l_z, *values, score_diff))

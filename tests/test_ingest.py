@@ -13,6 +13,7 @@ from conftest import (
     reference_load_table,
     reference_score_and_rank,
 )
+from rankfair import ranking
 from rankfair.ingest import (
     ProtectedSpec,
     ScoreSpec,
@@ -87,19 +88,26 @@ class TestLoadTable:
         assert load_table(path).row_ids == ("1", "2")
 
 
-class TestBlocksMatchReference:
-    """Rows are read in blocks of 4096 (lines 2-4097, 4098-8193, ...); errors
-    still name the file line and dropped rows keep file order, as the per-row
-    reference does."""
+BLOCK = ranking._BLOCK_ROWS
 
-    @staticmethod
-    def write_table(tmp_path, edits):
-        rows = [f"r{j},{j % 2},{j / 4}" for j in range(9000)]
+
+class TestBlocksMatchReference:
+    """Rows are read in blocks of ``BLOCK`` (lines 2 to BLOCK + 1, then
+    BLOCK + 2 to 2 * BLOCK + 1, ...); errors still name the file line and
+    dropped rows keep file order, as the per-row reference does."""
+
+    N_ROWS = 2 * BLOCK + BLOCK // 4  # three blocks, the last one partial
+
+    @classmethod
+    def write_table(cls, tmp_path, edits):
+        rows = [f"r{j},{j % 2},{j / 4}" for j in range(cls.N_ROWS)]
         for line, text in edits.items():
             rows[line - 2] = text
         return write_csv(tmp_path, "id,g,v\n" + "\n".join(rows) + "\n")
 
-    @pytest.mark.parametrize("bad_line", [5000, 8193])
+    @pytest.mark.parametrize(
+        "bad_line", [BLOCK + BLOCK // 2, 2 * BLOCK + 1], ids=["mid_block", "block_end"]
+    )
     def test_ragged_row(self, tmp_path, bad_line):
         path = self.write_table(tmp_path, {bad_line: f"r{bad_line},1,2,3"})
         err = outcome(load_table, path, "id")[1]
@@ -107,14 +115,16 @@ class TestBlocksMatchReference:
         assert err == outcome(reference_load_table, path, "id")[1]
 
     def test_ragged_row_beats_an_earlier_missing_cell(self, tmp_path):
-        path = self.write_table(tmp_path, {100: "r98,1,", 8193: "r8191,1"})
+        hole, ragged = BLOCK // 2, 2 * BLOCK + 1
+        path = self.write_table(tmp_path, {hole: f"r{hole - 2},1,", ragged: f"r{ragged - 2},1"})
         for drop in (False, True):
             err = outcome(load_table, path, "id", drop)[1]
-            assert err == (TableLoadError, f"{path}:8193: expected 3 fields, got 2")
+            assert err == (TableLoadError, f"{path}:{ragged}: expected 3 fields, got 2")
             assert err == outcome(reference_load_table, path, "id", drop)[1]
 
     def test_dropped_rows_in_three_blocks(self, tmp_path):
-        holes = [100, 4097, 4098, 8194, 9001]
+        last = self.N_ROWS + 1
+        holes = [BLOCK // 2, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 2, last]
         path = self.write_table(tmp_path, {line: f"r{line - 2},,1" for line in holes})
         table = load_table(path, "id", drop_incomplete_rows=True)
         ref = reference_load_table(path, "id", drop_incomplete_rows=True)
@@ -123,8 +133,59 @@ class TestBlocksMatchReference:
         assert table.column("v").tolist() == ref.column("v")
         assert table.column("g").tolist() == ref.column("g")
         assert outcome(load_table, path, "id")[1] == (
-            TableLoadError, f"{path}:100: missing value in column 'g'"
+            TableLoadError, f"{path}:{holes[0]}: missing value in column 'g'"
         )
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["keep", "drop"])
+    def test_columns_that_turn_text_in_later_blocks(self, tmp_path, drop):
+        """A column typed numeric in the first blocks turns to text when a
+        later block fails to parse, and its earlier text is read back; here
+        the ids fail in the second block and ``w`` in the third, past rows
+        that are dropped when ``drop`` is set."""
+        rows = [f"{j},{j % 2},{j / 4},{j}" for j in range(self.N_ROWS)]
+        rows[BLOCK + 9] = f"id-{BLOCK + 9},1,2,3"
+        rows[2 * BLOCK + 3] = f"{2 * BLOCK + 3},1,2,w"
+        if drop:
+            for j in (5, BLOCK + 3, BLOCK + 40, 2 * BLOCK + 1):
+                rows[j] = f"{j},1,,{j}" if j % 2 else f"{j},,1,{j}"
+        path = write_csv(tmp_path, "id,g,v,w\n" + "\n".join(rows) + "\n")
+        table = load_table(path, "id", drop_incomplete_rows=drop)
+        ref = reference_load_table(path, "id", drop_incomplete_rows=drop)
+        assert (table.row_ids, table.dropped_rows) == (ref.row_ids, ref.dropped_rows)
+        assert len(table.dropped_rows) == (4 if drop else 0)
+        assert [table.is_numeric(c) for c in table.columns] == [False, True, True, False]
+        for name in table.columns:
+            assert list(table.column(name)) == ref.column(name), name
+        assert not table.column("w").flags.writeable
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,age,gender\na,20,F\nb,30,M\n",
+            "id,v\na,1\nb,\nc,3\n",
+            "id,v\na,1\nb,2,3\n",
+        ],
+        ids=["clean", "hole", "ragged"],
+    )
+    @pytest.mark.parametrize("drop", [False, True], ids=["keep", "drop"])
+    def test_loads_as_without_it(self, tmp_path, text, drop):
+        """A file saved with a UTF-8 BOM (Excel's "CSV UTF-8") loads as the
+        same file without it, as the per-row reference does."""
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        plain, plain_err = outcome(load_table, path, "id", drop)
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked, err = outcome(load_table, path, "id", drop)
+        ref, ref_err = outcome(reference_load_table, path, "id", drop)
+        assert err == plain_err == ref_err
+        if err is None:
+            assert (marked.columns, marked.row_ids) == (plain.columns, plain.row_ids)
+            assert (marked.columns, marked.row_ids) == (ref.columns, ref.row_ids)
+            for name in marked.columns:
+                assert list(marked.column(name)) == list(plain.column(name)) == ref.column(name)
 
 
 class TestDeriveProtected:

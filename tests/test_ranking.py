@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfair import ranking
 from rankfair.ranking import (
     Ranking,
     RankingFormatError,
     ValidationError,
     build_schedule,
+    duplicates,
+    id_rank,
     open_atomic,
+    rank_order,
     read_ranking_csv,
     write_ranking_csv,
 )
@@ -25,8 +29,13 @@ from conftest import (
     prefix_counts,
     ranking_from_flags,
     ranking_rows,
+    reference_id_rank,
+    reference_rank_order,
     reference_read_ranking_csv,
+    reference_write_ranking_csv,
 )
+
+BLOCK = ranking._BLOCK_ROWS
 
 
 class TestBuildSchedule:
@@ -262,10 +271,15 @@ class TestCsvMatchesPerRowReference:
             reference_read_ranking_csv, path
         )[1]
 
-    @pytest.mark.parametrize("bad_row", [5000, 8193])
+    @pytest.mark.parametrize(
+        "bad_row",
+        # file line 1 is the header, so block k ends at line k * BLOCK + 1
+        [BLOCK + BLOCK // 2, 2 * BLOCK + 1],
+        ids=["mid_block", "block_end"],
+    )
     def test_line_numbers_past_the_first_block(self, tmp_path, bad_row):
         """Rows are read in blocks; an error names the file line all the same."""
-        rows = [f"r{j},{j % 2},0.5" for j in range(9000)]
+        rows = [f"r{j},{j % 2},0.5" for j in range(2 * BLOCK + BLOCK // 4)]
         rows[bad_row - 2] = f"r{bad_row},1,oops"
         path = tmp_path / "r.csv"
         path.write_text("id,protected,score\n" + "\n".join(rows) + "\n")
@@ -274,3 +288,112 @@ class TestCsvMatchesPerRowReference:
         assert outcome(read_ranking_csv, path)[1] == outcome(
             reference_read_ranking_csv, path
         )[1]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["id,protected,score\na,1,0.5\nb,0,\n", "id,protected\nb,0\na,1\n", "id,prot\n"],
+        ids=["scores", "no_scores", "bad_header"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        """A file saved with a UTF-8 BOM reads as the same file without it."""
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        plain, plain_err = outcome(read_ranking_csv, path)
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked, err = outcome(read_ranking_csv, path)
+        ref, ref_err = outcome(reference_read_ranking_csv, path)
+        assert err == plain_err == ref_err
+        if err is None:
+            assert ranking_rows(marked) == ranking_rows(plain) == item_rows(ref)
+
+
+class TestDuplicates:
+    def test_every_repeat_in_order(self):
+        assert duplicates(["a", "b", "a", "c", "b", "a", ""]) == ["a", "b", "a"]
+        assert duplicates(["a", "b", "c"]) == []
+        assert duplicates([]) == []
+
+    def test_equal_hashes_are_compared(self):
+        """Ids whose hashes are equal but whose text differs are not repeats."""
+
+        class Colliding(str):
+            def __hash__(self):
+                return 7
+
+        ids = [Colliding(t) for t in ["x", "y", "x", "z", "y"]]
+        assert duplicates(ids) == ["x", "y"]
+        assert duplicates(ids[:2] + ids[3:4]) == []
+
+    @given(ids=st.lists(st.sampled_from(["a", "b", "c", "", "a,b", "10", "2"]), max_size=30))
+    def test_equals_a_set_scan(self, ids):
+        seen: set[str] = set()
+        assert duplicates(ids) == [rid for rid in ids if rid in seen or seen.add(rid)]
+
+
+SORT_SCORES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e300, np.inf, -np.inf]
+SORT_IDS = ["a", "b", "B", "10", "2", "", "a,b", "\u00e9", "a "]
+
+
+class TestRankOrder:
+    """``rank_order`` over ``id_rank`` gives the order of the ``np.lexsort``
+    reference in ``conftest``: descending score, ties by ascending id."""
+
+    def test_ties_go_by_id(self):
+        scores = np.array([0.5, 1.0, 0.5, 0.5])
+        ids = ["c", "z", "a", "b"]
+        assert rank_order(scores, id_rank(ids)).tolist() == [1, 2, 3, 0]
+
+    def test_signed_zeros_tie(self):
+        scores = np.array([0.0, -0.0, 0.0, -0.0])
+        ids = ["d", "c", "b", "a"]
+        assert rank_order(scores, id_rank(ids)).tolist() == [3, 2, 1, 0]
+
+    def test_equal_ids_keep_row_order(self):
+        scores = np.array([1.0, 2.0, 1.0, 1.0])
+        ids = ["g", "a", "g", "f"]
+        assert rank_order(scores, id_rank(ids)).tolist() == [1, 3, 0, 2]
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(SORT_SCORES), st.sampled_from(SORT_IDS)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300)
+    def test_equals_lexsort_reference(self, rows):
+        scores = np.array([s for s, _ in rows])
+        ids = [rid for _, rid in rows]
+        want = reference_rank_order(scores, reference_id_rank(ids))
+        assert rank_order(scores, id_rank(ids)).tolist() == want.tolist()
+
+
+CELL_TEXT = st.text(alphabet=["a", "b", ",", '"', "\r", "\n", " ", "\u00e9", "\t", "'"], max_size=6)
+WRITTEN_SCORES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.nan, 0.5, 1e-7, -5e-7, 123456.1234565]),
+)
+
+
+class TestWriterMatchesCsvWriter:
+    @given(
+        ids=st.lists(CELL_TEXT, min_size=2, max_size=12, unique=True),
+        with_scores=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_reference(self, ids, with_scores, data):
+        """``write_ranking_csv`` writes the bytes of the frozen ``csv.writer``
+        writer: quoted ids, signed zeros, NaN and absent scores included."""
+        n = len(ids)
+        flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        scores = None
+        if with_scores:
+            scores = data.draw(st.lists(WRITTEN_SCORES, min_size=n, max_size=n))
+        rk = Ranking(ids, flags, scores)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_ranking_csv(rk, got)
+            reference_write_ranking_csv(rk, want)
+            assert got.read_bytes() == want.read_bytes()
