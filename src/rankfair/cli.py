@@ -1,9 +1,10 @@
 """Command-line surface: measure, generate, sweep, rank, optimize.
 
 Exit codes: 0 success, 1 domain error (degenerate group, missing values,
-divergence), 2 usage error (bad flags, malformed input, unknown columns, an
-unreadable input or unwritable output path). The library's writers write every
-output file atomically, so a failed run leaves nothing partial behind.
+divergence, out of memory), 2 usage error (bad flags, malformed input, unknown
+columns, an unreadable input or unwritable output path). The library's writers
+write every output file atomically, so a failed run leaves nothing partial
+behind.
 """
 
 from __future__ import annotations
@@ -346,6 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (ValueError, fairopt.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        print(f"error: out of memory: {args.command}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -342,7 +342,7 @@ def _trace(
     l_x, l_y, l_z = _losses(features, fwd)
     total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
     flags = features.protected[rank_order(fwd.y_hat, id_order)]
-    _, [values] = scale.measure(np.cumsum(flags)[scale.cutoffs - 1])
+    _, [values] = scale.measure(scale.counts(flags))
     score_diff = accuracy_score_diff(features.y, fwd.y_hat)
     return TraceRecord(iteration, total, l_x, l_y, l_z, *values, score_diff)
 

@@ -112,14 +112,16 @@ def load_table(
         columns: list[array | list[str]] = [array("d") for _ in header]
         ids: list[str] = []
         reread: dict[int, int] = {}  # column -> rows typed before it failed
-        n_rows, incomplete = 0, []
+        n_rows, dropped, first_incomplete = 0, [], None
         for first, rows in blocks:
             if set(map(len, rows)) != {width}:
                 line, row = next((i, r) for i, r in enumerate(rows, first) if len(r) != width)
                 raise TableLoadError(f"{path}:{line}: expected {width} fields, got {len(row)}")
             cols = list(zip(*rows))
             if any("" in col for col in cols):
-                incomplete += [(i, row) for i, row in enumerate(rows, first) if "" in row]
+                holes = [i for i, row in enumerate(rows, first) if "" in row]
+                first_incomplete = first_incomplete or (holes[0], rows[holes[0] - first])
+                dropped += (f"line {i}" for i in holes)
                 rows = [row for row in rows if "" not in row]
                 cols = list(zip(*rows))
             if id_pos is not None and rows:
@@ -135,8 +137,8 @@ def load_table(
                         values = columns[j] = []
                 values += col
             n_rows += len(rows)
-    if incomplete and not drop_incomplete_rows:
-        line, row = incomplete[0]
+    if first_incomplete and not drop_incomplete_rows:
+        line, row = first_incomplete
         missing = header[row.index("")]
         raise TableLoadError(f"{path}:{line}: missing value in column {missing!r}")
     if not n_rows:
@@ -159,8 +161,7 @@ def load_table(
             col[len(head) :] = values
         col.flags.writeable = False
         data[name] = col
-    dropped = tuple(f"line {i}" for i, _ in incomplete)
-    return DatasetTable(tuple(header), row_ids, data, dropped)
+    return DatasetTable(tuple(header), row_ids, data, tuple(dropped))
 
 
 def _first_rows(path: Path, counts: dict[int, int]) -> dict[int, list[str]]:
@@ -226,6 +227,10 @@ def minmax_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def compute_scores(table: DatasetTable, spec: ScoreSpec) -> np.ndarray:
+    if spec.mode not in ("single_attribute", "equal_weight_sum"):
+        raise SpecError(f"unknown score mode {spec.mode!r}")
+    if not spec.columns or spec.mode == "single_attribute" and len(spec.columns) > 1:
+        raise SpecError(f"{spec.mode} score cannot use {len(spec.columns)} columns")
     for name in spec.columns:
         if not table.is_numeric(name):
             raise SpecError(f"score column {name!r} is not numeric")

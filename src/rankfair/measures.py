@@ -6,16 +6,14 @@ weighted by 1/log2(i), and divides by the largest value attainable for the
 given group sizes. Logarithms are base 2 throughout. 0 means statistical
 parity at every cutoff; 1 is the worst attainable value.
 
+Every path measures through one ``Scale`` per group size. ``Scale.of`` alone
+builds the cutoffs, checks the group, computes the normalizers and decides
+whether rRD applies (a minority protected group, or the explicit override).
 One vectorized kernel, ``_discounted_terms``, computes every discounted term
-(term / log2 i) for the measures, the normalizers and the per-cutoff report,
-over one or more rows of prefix counts; the tests pin it to a scalar
-definition of the undiscounted term. Every caller sums a row of terms with
+(term / log2 i) over one or more rows of prefix counts; the tests pin it to a
+scalar definition of the undiscounted term. Every caller sums a row with
 ``_row_sums``, strictly left to right, so a ranking equal to the maximizing
-extreme scores exactly 1 and no value depends on the Python version. One
-``Scale`` per group size supplies the cutoffs and the normalizers to the
-report, the generator's sweep and the training trace, and measures counts on
-them. Whether rRD applies (a minority protected group, or the explicit
-override) is decided only by ``normalizer``.
+extreme scores exactly 1 and no value depends on the Python version.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -128,36 +126,16 @@ def normalizer(
     step: int = 10,
     allow_majority_rrd: bool = False,
 ) -> float:
-    """Largest attainable discounted sum for the given group sizes.
-
-    Evaluates the prefix counts of the segregated rankings, the two edges of
-    ``feasible_band`` (protected last, protected first), as two rows of one
-    kernel call, in O(n / step) time and memory. rND/rKL take the larger
-    sum (see the module docstring for how far this is checked against the
-    exact maximum); rRD takes the protected-last sum. Returns 0.0 in the
-    trivial single-cutoff case n <= step, where the only cutoff is the whole
-    ranking and every ranking scores 0.
-    """
-    cutoffs = build_schedule(n, step)
-    check_group(n, n_plus)
-    if kind is MeasureKind.RRD and 2 * n_plus > n and not allow_majority_rrd:
-        raise RrdInapplicableError(
-            f"rRD needs a minority protected group (n_plus={n_plus}, n={n})"
-        )
-    extremes = np.stack(feasible_band(cutoffs, n, n_plus))
-    sums = _row_sums(_discounted_terms(kind, cutoffs, extremes, n, n_plus))
-    protected_last, protected_first = sums.tolist()
-    if kind is MeasureKind.RRD:
-        return protected_last
-    return max(protected_first, protected_last)
+    """Largest attainable discounted sum for the given group sizes, as
+    ``Scale.of`` finds it; ``RrdInapplicableError`` where rRD does not apply."""
+    return Scale.of(n, n_plus, step, allow_majority_rrd).normalizer(kind)
 
 
 class Scale(NamedTuple):
-    """What measuring a ranking with ``n`` items, ``n_plus`` protected, needs
-    and shares with every other ranking of those sizes: the cutoffs and each
-    measure's normalizer, in ``MeasureKind`` order. rRD's normalizer is None
-    where ``normalizer`` rejects it, for a majority protected group. Used
-    inside the package; not exported."""
+    """The cutoffs and each measure's normalizer, in ``MeasureKind`` order,
+    shared by every ranking with ``n`` items, ``n_plus`` protected. rRD's is
+    None where ``of``, the one place that decides it, finds that rRD does not
+    apply. Used inside the package; not exported."""
 
     n: int
     n_plus: int
@@ -165,14 +143,36 @@ class Scale(NamedTuple):
     normalizers: tuple[float, float, Optional[float]]
 
     @classmethod
-    def of(cls, n: int, n_plus: int, step: int = 10) -> Scale:
-        zs = []
-        for kind in MeasureKind:
-            try:
-                zs.append(normalizer(kind, n, n_plus, step))
-            except RrdInapplicableError:
-                zs.append(None)
-        return cls(n, n_plus, build_schedule(n, step), tuple(zs))
+    def of(
+        cls, n: int, n_plus: int, step: int = 10, allow_majority_rrd: bool = False
+    ) -> Scale:
+        """Checks the step, then the group. Each normalizer is one kernel call
+        on the two edges of ``feasible_band``, the segregated rankings, in
+        O(n / step). All are 0.0 when n <= step: the only cutoff is then the
+        whole ranking, where every ranking scores 0."""
+        cutoffs = build_schedule(n, step)
+        check_group(n, n_plus)
+        extremes = np.stack(feasible_band(cutoffs, n, n_plus))
+        (rnd_last, rnd_first), (rkl_last, rkl_first), (rrd_last, _) = (
+            _row_sums(_discounted_terms(kind, cutoffs, extremes, n, n_plus)).tolist()
+            for kind in MeasureKind
+        )
+        rrd = rrd_last if 2 * n_plus <= n or allow_majority_rrd else None
+        zs = (max(rnd_first, rnd_last), max(rkl_first, rkl_last), rrd)
+        return cls(n, n_plus, cutoffs, zs)
+
+    def normalizer(self, kind: MeasureKind) -> float:
+        """``kind``'s normalizer; ``RrdInapplicableError`` where it is None."""
+        z = self.normalizers[list(MeasureKind).index(kind)]
+        if z is None:
+            raise RrdInapplicableError(
+                f"rRD needs a minority protected group (n_plus={self.n_plus}, n={self.n})"
+            )
+        return z
+
+    def counts(self, flags: np.ndarray) -> np.ndarray:
+        """Prefix counts of ``flags`` (in rank order) at the cutoffs."""
+        return np.cumsum(flags)[self.cutoffs - 1]
 
     def measure(self, counts: np.ndarray) -> tuple[list, list]:
         """Rankings measured from their prefix counts at the cutoffs, one row
@@ -213,15 +213,13 @@ def measure_from_flags(
     allow_majority_rrd: bool = False,
 ) -> float:
     """Measure a ranking given only its protected-flag sequence in rank
-    order. Vectorized over cutoffs; only ``kind``'s normalizer is computed."""
+    order, on its ``Scale``. Vectorized over cutoffs; only ``kind``'s terms
+    are computed."""
     flags = np.asarray(flags, dtype=bool)
-    n = int(flags.size)
-    n_plus = int(flags.sum())
-    z = normalizer(kind, n, n_plus, step, allow_majority_rrd)
-    cutoffs = build_schedule(n, step)
-    counts = np.cumsum(flags)[cutoffs - 1]
-    terms = _discounted_terms(kind, cutoffs, counts, n, n_plus)
-    return float(_normalized(terms, z))
+    scale = Scale.of(flags.size, int(np.count_nonzero(flags)), step, allow_majority_rrd)
+    counts = scale.counts(flags)
+    terms = _discounted_terms(kind, scale.cutoffs, counts, scale.n, scale.n_plus)
+    return float(_normalized(terms, scale.normalizer(kind)))
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,7 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     """All three measures plus per-cutoff diagnostics. rRD is reported as
     None (not raised) when the protected group is the majority."""
     scale = Scale.of(ranking.n, ranking.n_plus, step)
-    c = np.cumsum(ranking.flags)[scale.cutoffs - 1]
+    c = scale.counts(ranking.flags)
     terms, [values] = scale.measure(c)
     return FairnessReport(
         ranking.n,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rankfair import cli
+from rankfair import cli, generator
 from rankfair.cli import main
 from rankfair.measures import MeasureKind, measure_from_flags
 from rankfair.ranking import write_ranking_csv
@@ -554,6 +554,31 @@ class TestOsErrors:
         assert capsys.readouterr().err == f"error: {os.strerror(errno.EISDIR)}: {out}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report", "segregated.csv"]
         assert list(out.iterdir()) == []
+
+
+class TestOutOfMemory:
+    """A failed allocation exits 1 with the command's name, no traceback and
+    no output file. The allocating functions are patched to raise, so no
+    large array is ever requested."""
+
+    @pytest.mark.parametrize(
+        "argv, patched",
+        [
+            (["generate", "--f", "0.5"], "random_base_ranking"),
+            (["sweep", "--f-grid", "0:1:0.5"], "sweep"),
+        ],
+        ids=["generate", "sweep"],
+    )
+    def test_exit_1_with_message(self, tmp_path, capsys, monkeypatch, argv, patched):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(generator, patched, out_of_memory)
+        out = tmp_path / "out.csv"
+        args = argv + ["--n", "1000000000000000", "--n-plus", "10", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {argv[0]}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOptimize:

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,35 @@ class TestLoadTable:
         table = load_table(path, row_id_column="id", drop_incomplete_rows=True)
         assert table.row_ids == ("a", "c")
         assert len(table.dropped_rows) == 1
+
+    def test_dropped_rows_cost_no_more_than_filled_ones(self, tmp_path):
+        """Only a dropped row's line number is kept, so loading 10^4 rows with
+        every other one incomplete peaks no higher than loading the same file
+        with its holes filled."""
+        header, rows = "a,b,c,d,e,f\n", 10_000
+
+        def lines(fill):
+            for r in range(rows):
+                cells = [str(r * 7 % 1000 + k) for k in range(6)]
+                if r % 2:
+                    cells[r % 6] = fill
+                yield ",".join(cells) + "\n"
+
+        def peak(path, **kwargs):
+            tracemalloc.start()
+            try:
+                table = load_table(path, **kwargs)
+                return tracemalloc.get_traced_memory()[1], table
+            finally:
+                tracemalloc.stop()
+
+        holes = write_csv(tmp_path, header + "".join(lines("")), "holes.csv")
+        filled = write_csv(tmp_path, header + "".join(lines("0")), "filled.csv")
+        dropped_peak, dropped = peak(holes, drop_incomplete_rows=True)
+        filled_peak, _ = peak(filled)
+        assert len(dropped.dropped_rows) == rows // 2
+        assert dropped.dropped_rows[:2] == ("line 3", "line 5")
+        assert dropped_peak <= filled_peak
 
     def test_duplicate_row_id(self, tmp_path):
         path = write_csv(tmp_path, "id,v\na,1\na,2\n")
@@ -281,6 +311,30 @@ class TestScoreAndRank:
     def test_categorical_score_column(self, small_table):
         with pytest.raises(SpecError):
             compute_scores(small_table, ScoreSpec.single_attribute("gender"))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (ScoreSpec("weighted", ("x",)), "unknown score mode 'weighted'"),
+            (
+                ScoreSpec.equal_weight_sum([]),
+                "equal_weight_sum score cannot use 0 columns",
+            ),
+            (
+                ScoreSpec("single_attribute", ("x", "y")),
+                "single_attribute score cannot use 2 columns",
+            ),
+            (
+                ScoreSpec("single_attribute", ()),
+                "single_attribute score cannot use 0 columns",
+            ),
+        ],
+        ids=["unknown_mode", "empty_sum", "two_columns", "no_column"],
+    )
+    def test_malformed_spec(self, small_table, spec, message):
+        with pytest.raises(SpecError) as exc:
+            compute_scores(small_table, spec)
+        assert str(exc.value) == message
 
 
 class TestNonFiniteValues:

@@ -447,13 +447,52 @@ class TestWithinGroupShuffle:
 
 class TestMeasureFromFlags:
     def test_agrees_with_ranking_path(self):
-        flags = [False, True, True, False, False, True] * 5
-        rk = ranking_from_flags(flags)
-        assert measure_from_flags(
-            MeasureKind.RKL, np.array(flags), 10
-        ) == measure_from_flags(MeasureKind.RKL, rk.flags, 10)
+        """Each kind's value is exactly the report's, for a minority and a
+        majority group, with and without the override. A majority group's
+        rRD, absent from the report, raises without the override and with it
+        is the report's counts summed term by term over the same sum for the
+        protected-last ranking."""
+        for n_plus in (9, 21):
+            flags = np.random.default_rng(n_plus).permutation(np.arange(30) < n_plus)
+            for step in (2, 3, 10):
+                rep = fairness_report(ranking_from_flags(flags.tolist()), step)
+                for kind, value in zip(MeasureKind, (rep.rnd, rep.rkl, rep.rrd)):
+                    for allow in (False, True):
+                        case = (n_plus, step, kind, allow)
+                        if value is not None:
+                            expected = value
+                        elif not allow:
+                            with pytest.raises(RrdInapplicableError):
+                                measure_from_flags(kind, flags, step)
+                            continue
+                        else:
+                            last = [max(0, i - (30 - n_plus)) for i in rep.cutoffs]
+                            expected = unnormalized_sum(
+                                kind, zip(rep.cutoffs, rep.counts), 30, n_plus
+                            ) / unnormalized_sum(kind, zip(rep.cutoffs, last), 30, n_plus)
+                        got = measure_from_flags(kind, flags, step, allow_majority_rrd=allow)
+                        assert got == expected, case
 
     def test_bad_step_reported_before_degenerate_group(self):
         with pytest.raises(ValueError) as exc:
             measure_from_flags(MeasureKind.RND, [True] * 5, step=1)
         assert str(exc.value) == "step must be >= 2, got 1"
+        for kind in MeasureKind:
+            with pytest.raises(ValueError) as exc:
+                normalizer(kind, 5, 5, step=1)
+            assert str(exc.value) == "step must be >= 2, got 1"
+
+    def test_degenerate_group_reported_before_rrd(self):
+        with pytest.raises(DegenerateGroupError):
+            measure_from_flags(MeasureKind.RRD, [True] * 5)
+        with pytest.raises(DegenerateGroupError):
+            normalizer(MeasureKind.RRD, 5, 5)
+
+    def test_rrd_inapplicable_message(self):
+        message = "rRD needs a minority protected group (n_plus=16, n=20)"
+        with pytest.raises(RrdInapplicableError) as exc:
+            normalizer(MeasureKind.RRD, 20, 16, 10)
+        assert str(exc.value) == message
+        with pytest.raises(RrdInapplicableError) as exc:
+            measure_from_flags(MeasureKind.RRD, [True] * 16 + [False] * 4)
+        assert str(exc.value) == message
