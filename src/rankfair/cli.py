@@ -61,7 +61,7 @@ def parse_f_grid(text: str) -> list[float]:
     v = start
     # a value above 1 is rejected later, so the grid need not grow past it
     while v <= stop + 1e-9 and (not grid or grid[-1] <= 1.0):
-        grid.append(round(v, 12))
+        grid.append(round(v, 12) + 0.0)  # + 0.0 turns a -0.0 into 0.0
         v = start + len(grid) * step
     return grid
 
@@ -134,6 +134,7 @@ def cmd_generate(args) -> int:
         base = ranking.read_ranking_csv(args.base)
     else:
         base = generator.random_base_ranking(args.n, args.n_plus, args.seed)
+    measures.check_group(base.n, base.n_plus)
     out = generator.generate_unfair(base, args.f, args.seed)
     ranking.write_ranking_csv(out, args.out)
     print(f"wrote {args.out} ({out.n} items, {out.n_plus} protected)")

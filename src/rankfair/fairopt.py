@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -399,20 +399,14 @@ def write_trace_csv(traces: Sequence[TraceRecord], path: str | Path) -> None:
 def save_model(
     model: PrototypeModel, hyper: Hyperparams, path: str | Path
 ) -> None:
+    hyperparams = asdict(hyper)
+    del hyperparams["seed"]  # saved as its own key, after the hyperparams
     payload = {
         "K": model.k,
         "m": model.prototypes.shape[1],
         "prototypes": [float(v) for v in model.prototypes.ravel()],
         "score_weights": [float(w) for w in model.score_weights],
-        "hyperparams": {
-            "a_x": hyper.a_x,
-            "a_y": hyper.a_y,
-            "a_z": hyper.a_z,
-            "k": hyper.k,
-            "learning_rate": hyper.learning_rate,
-            "max_iters": hyper.max_iters,
-            "early_stop_rel_tol": hyper.early_stop_rel_tol,
-        },
+        "hyperparams": hyperparams,
         "seed": hyper.seed,
     }
     with open_atomic(path) as fh:

@@ -126,13 +126,11 @@ def sweep(
     rows are measured together on one ``measures.Scale``.
     """
     seeds, f_grid = list(seeds), list(f_grid)
-    if not seeds:
-        return []
     _check_counts(n, n_plus)
     for f in f_grid:
         _check_probability(f)
     scale = Scale.of(n, n_plus, step)
-    if not f_grid:
+    if not seeds or not f_grid:
         return []
     per_seed = []
     for seed in seeds:

@@ -10,10 +10,12 @@ Every path measures through one ``Scale`` per group size. ``Scale.of`` alone
 builds the cutoffs, checks the group, computes the normalizers and decides
 whether rRD applies (a minority protected group, or the explicit override).
 One vectorized kernel, ``_discounted_terms``, computes every discounted term
-(term / log2 i) over one or more rows of prefix counts; the tests pin it to a
-scalar definition of the undiscounted term. Every caller sums a row with
-``_row_sums``, strictly left to right, so a ranking equal to the maximizing
-extreme scores exactly 1 and no value depends on the Python version.
+(term / log2 i) over one or more rows of prefix counts, and one call of it
+evaluates all three measures, stacked in ``MeasureKind`` order; the tests pin
+it to a scalar definition of the undiscounted term. Every caller sums a row
+with ``_row_sums``, strictly left to right, so a ranking equal to the
+maximizing extreme scores exactly 1 and no value depends on the Python
+version.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -67,10 +69,9 @@ def _kl_terms(
     return np.maximum(t1 + t2, 0.0)
 
 
-def _term_values(
-    kind: MeasureKind, i: np.ndarray, c: np.ndarray, n: int, n_plus: int
-) -> np.ndarray:
-    """Undiscounted parity terms, broadcast over cutoff i and prefix count c.
+def _term_values(i: np.ndarray, c: np.ndarray, n: int, n_plus: int) -> np.ndarray:
+    """Undiscounted rND, rKL and rRD terms, stacked on a new first axis in
+    ``MeasureKind`` order, each broadcast over cutoff i and prefix count c.
 
     Entries at infeasible (i, c) pairs are garbage-free but meaningless and
     must be masked by the caller.
@@ -78,17 +79,13 @@ def _term_values(
     i = np.asarray(i, dtype=float)
     c = np.asarray(c, dtype=float)
     n_minus = n - n_plus
-    if kind is MeasureKind.RND:
-        return np.abs(c / i - n_plus / n)
-    if kind is MeasureKind.RKL:
-        # both components come straight from the counts so that a prefix in
-        # exact proportion yields exactly 0
-        return _kl_terms(c / i, (i - c) / i, n_plus / n, n_minus / n)
-    # RRD: a fraction with a zero numerator or denominator counts as 0.
-    rest = i - c
-    r1 = np.where((c > 0.0) & (rest > 0.0), c / np.where(rest > 0.0, rest, 1.0), 0.0)
-    r2 = n_plus / n_minus
-    return np.abs(r1 - r2)
+    share, rest = c / i, i - c
+    # both KL components come straight from the counts so that a prefix in
+    # exact proportion yields exactly 0
+    rkl = _kl_terms(share, rest / i, n_plus / n, n_minus / n)
+    # rRD: a fraction with a zero numerator or denominator counts as 0
+    ratio = np.divide(c, rest, out=np.zeros_like(rest), where=(c > 0.0) & (rest > 0.0))
+    return np.stack([np.abs(share - n_plus / n), rkl, np.abs(ratio - n_plus / n_minus)])
 
 
 def check_group(n: int, n_plus: int) -> None:
@@ -107,16 +104,17 @@ def feasible_band(i, n: int, n_plus: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _discounted_terms(
-    kind: MeasureKind, cutoffs: np.ndarray, counts: np.ndarray, n: int, n_plus: int
+    cutoffs: np.ndarray, counts: np.ndarray, n: int, n_plus: int
 ) -> np.ndarray:
-    """Parity terms divided by log2(i) at the given cutoffs.
+    """The three measures' parity terms divided by log2(i) at the given
+    cutoffs, stacked on a new first axis in ``MeasureKind`` order.
 
     ``counts`` holds the prefix counts at ``cutoffs`` along its last axis, one
     row per ranking. Every discounted value is computed here, and callers sum
     a row strictly left to right with ``_row_sums``, so a ranking equal to
     the maximizing extreme scores exactly 1.
     """
-    return _term_values(kind, cutoffs, counts, n, n_plus) / np.log2(cutoffs)
+    return _term_values(cutoffs, counts, n, n_plus) / np.log2(cutoffs)
 
 
 def normalizer(
@@ -146,17 +144,16 @@ class Scale(NamedTuple):
     def of(
         cls, n: int, n_plus: int, step: int = 10, allow_majority_rrd: bool = False
     ) -> Scale:
-        """Checks the step, then the group. Each normalizer is one kernel call
-        on the two edges of ``feasible_band``, the segregated rankings, in
-        O(n / step). All are 0.0 when n <= step: the only cutoff is then the
-        whole ranking, where every ranking scores 0."""
+        """Checks the step, then the group. The normalizers come from one
+        kernel call on the two edges of ``feasible_band``, the segregated
+        rankings, in O(n / step). All are 0.0 when n <= step: the only cutoff
+        is then the whole ranking, where every ranking scores 0."""
         cutoffs = build_schedule(n, step)
         check_group(n, n_plus)
         extremes = np.stack(feasible_band(cutoffs, n, n_plus))
-        (rnd_last, rnd_first), (rkl_last, rkl_first), (rrd_last, _) = (
-            _row_sums(_discounted_terms(kind, cutoffs, extremes, n, n_plus)).tolist()
-            for kind in MeasureKind
-        )
+        (rnd_last, rnd_first), (rkl_last, rkl_first), (rrd_last, _) = _row_sums(
+            _discounted_terms(cutoffs, extremes, n, n_plus)
+        ).tolist()
         rrd = rrd_last if 2 * n_plus <= n or allow_majority_rrd else None
         zs = (max(rnd_first, rnd_last), max(rkl_first, rkl_last), rrd)
         return cls(n, n_plus, cutoffs, zs)
@@ -174,20 +171,16 @@ class Scale(NamedTuple):
         """Prefix counts of ``flags`` (in rank order) at the cutoffs."""
         return np.cumsum(flags)[self.cutoffs - 1]
 
-    def measure(self, counts: np.ndarray) -> tuple[list, list]:
+    def measure(self, counts: np.ndarray) -> tuple[np.ndarray, list]:
         """Rankings measured from their prefix counts at the cutoffs, one row
-        of ``counts`` per ranking: per measure, an array of every row's
-        discounted terms (None for an inapplicable rRD), and per row
-        ``(rnd, rkl, rrd)`` as Python floats."""
-        counts = np.atleast_2d(counts)
-        terms = [
-            None if z is None
-            else _discounted_terms(kind, self.cutoffs, counts, self.n, self.n_plus)
-            for kind, z in zip(MeasureKind, self.normalizers)
-        ]
+        of ``counts`` per ranking, in one kernel call: the stack of every
+        row's discounted terms from ``_discounted_terms``, and per row
+        ``(rnd, rkl, rrd)`` as Python floats, each row's ``_row_sums`` over
+        its normalizer (0.0 where that is 0; None for an inapplicable rRD)."""
+        terms = _discounted_terms(self.cutoffs, np.atleast_2d(counts), self.n, self.n_plus)
         values = [
-            [None] * len(counts) if z is None else _normalized(rows, z).tolist()
-            for rows, z in zip(terms, self.normalizers)
+            [None] * len(sums) if z is None else [s / z if z else 0.0 for s in sums]
+            for sums, z in zip(_row_sums(terms).tolist(), self.normalizers)
         ]
         return terms, list(zip(*values))
 
@@ -199,13 +192,6 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
-def _normalized(terms: np.ndarray, z: float) -> np.ndarray:
-    """Rows of discounted terms summed by ``_row_sums`` and divided by the
-    normalizer ``z``; 0.0 when ``z`` is 0."""
-    sums = _row_sums(terms)
-    return sums / z if z != 0.0 else np.zeros_like(sums)
-
-
 def measure_from_flags(
     kind: MeasureKind,
     flags: np.ndarray,
@@ -213,13 +199,12 @@ def measure_from_flags(
     allow_majority_rrd: bool = False,
 ) -> float:
     """Measure a ranking given only its protected-flag sequence in rank
-    order, on its ``Scale``. Vectorized over cutoffs; only ``kind``'s terms
-    are computed."""
+    order, on its ``Scale``. Vectorized over cutoffs."""
     flags = np.asarray(flags, dtype=bool)
     scale = Scale.of(flags.size, int(np.count_nonzero(flags)), step, allow_majority_rrd)
-    counts = scale.counts(flags)
-    terms = _discounted_terms(kind, scale.cutoffs, counts, scale.n, scale.n_plus)
-    return float(_normalized(terms, scale.normalizer(kind)))
+    scale.normalizer(kind)  # raises RrdInapplicableError where rRD does not apply
+    _, [values] = scale.measure(scale.counts(flags))
+    return values[list(MeasureKind).index(kind)]
 
 
 @dataclass(frozen=True)
@@ -254,7 +239,8 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
         cutoffs=tuple(scale.cutoffs.tolist()),
         counts=tuple(c.tolist()),
         terms=tuple(
-            None if rows is None else tuple(rows[0].tolist()) for rows in terms
+            None if z is None else tuple(row)
+            for row, z in zip(terms[:, 0].tolist(), scale.normalizers)
         ),
         normalizers=scale.normalizers,
     )

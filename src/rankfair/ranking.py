@@ -16,7 +16,6 @@ with 6 decimals, as ``fmt`` writes them.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import os
@@ -198,21 +197,20 @@ def fmt(x: Optional[float], missing: str = "") -> str:
 
 _ROW = "{},{},{:.6f}\n".format
 _ROW_NO_SCORE = "{},{},\n".format
-# every character that can make csv.writer quote a field, on any Python version
+# every character that makes an id quoted
 _QUOTED_CHAR = re.compile('[,"\r\n]').search
 
 
 def _csv_cell(text: str) -> str:
-    """``text`` quoted as ``csv.writer`` quotes one field of a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    """``text`` as one CSV field: in quotes, each quote doubled, when it holds
+    a comma, a quote, CR or LF, so that ``open_csv`` reads it back whole."""
+    return '"' + text.replace('"', '""') + '"' if _QUOTED_CHAR(text) else text
 
 
 def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
     """Write the ranking CSV format: header ``id,protected,score``, rows in
-    rank order; a missing score is empty. The bytes are those of
-    ``write_csv`` with each score written by ``fmt``."""
+    rank order; a missing score is empty, and an id is quoted by
+    ``_csv_cell``. Each score is written by ``fmt``."""
     ids: Iterable[str] = ranking.ids
     if _QUOTED_CHAR("".join(ranking.ids)):
         ids = map(_csv_cell, ranking.ids)

@@ -2,6 +2,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -97,7 +98,8 @@ def parity_term(
     lo, hi = feasible_band(i, n, n_plus)
     if not lo <= c <= hi:
         raise ValueError(f"c={c} infeasible at cutoff {i} (range [{lo},{hi}])")
-    return float(_term_values(kind, np.array(i), np.array(c), n, n_plus))
+    terms = _term_values(np.array(i), np.array(c), n, n_plus)
+    return float(terms[list(MeasureKind).index(kind)])
 
 
 def ranking_from_flags(
@@ -177,12 +179,16 @@ def reference_rank_order(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray
 
 def reference_write_ranking_csv(ranking: Ranking, path) -> None:
     """Reference for ``write_ranking_csv``: every row through ``csv.writer``,
-    each score written by ``fmt`` (empty when NaN or absent)."""
+    each score written by ``fmt`` (empty when NaN or absent). The writer ends
+    rows with CRLF, so it quotes every field that holds CR or LF, and each
+    row's CRLF is then written as LF."""
     scores = [""] * ranking.n
     if ranking.scores is not None:
         scores = ["" if s != s else f"{s:.6f}" for s in ranking.scores.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # csv.writer passes each row, CRLF included, to one write call
+        lf_rows = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        writer = csv.writer(lf_rows, lineterminator="\r\n")
         writer.writerow(["id", "protected", "score"])
         writer.writerows(zip(ranking.ids, ranking.flags.view(np.uint8).tolist(), scores))
 

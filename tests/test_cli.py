@@ -155,6 +155,29 @@ class TestGenerate:
         lines = out.read_text().splitlines()[1:]
         assert all(line.split(",")[1] == "1" for line in lines[:10])
 
+    @pytest.mark.parametrize("n_plus", [0, 20])
+    def test_degenerate_counts_exit_1(self, tmp_path, capsys, n_plus):
+        out = tmp_path / "g.csv"
+        args = [
+            "generate", "--n", "20", "--n-plus", str(n_plus),
+            "--f", "0.5", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: protected group size {n_plus} of 20 is degenerate\n"
+        )
+        assert not out.exists()
+
+    def test_degenerate_base_exit_1(self, tmp_path, capsys):
+        base, out = tmp_path / "base.csv", tmp_path / "g.csv"
+        write_ranking_csv(ranking_from_flags([False] * 5), base)
+        args = ["generate", "--base", str(base), "--f", "0.5", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: protected group size 0 of 5 is degenerate\n"
+        )
+        assert not out.exists()
+
 
 class TestSweep:
     def test_outputs(self, tmp_path, capsys):
@@ -214,6 +237,20 @@ class TestSweep:
     )
     def test_grid_up_to_the_limit_is_built(self, grid, size):
         assert len(cli.parse_f_grid(grid)) == size
+
+    def test_negative_zero_grid_start_writes_zero(self, tmp_path):
+        out, agg = tmp_path / "s.csv", tmp_path / "agg.csv"
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid=-0:1:0.5",
+            "--seeds", "1", "--out", str(out), "--agg-out", str(agg),
+        ]
+        assert main(args) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == [
+            "f", "0.000000", "0.500000", "1.000000",
+        ]
+        assert [line.split(",")[0] for line in agg.read_text().splitlines()] == [
+            "f", "0.000000", "0.500000", "1.000000",
+        ]
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_seeds_below_one_exit_2(self, tmp_path, capsys, seeds):

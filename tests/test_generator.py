@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,23 @@ class TestSweep:
 
     def test_empty_seed_list(self):
         assert sweep(20, 5, [0.0, 1.0], []) == []
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((-5, 3, [0.5]), "invalid counts n=-5, n_plus=3"),
+            ((20, 5, [2.0]), "fairness probability must be in [0, 1], got 2.0"),
+            ((20, 0, [0.5]), "protected group size 0 of 20 is degenerate"),
+            ((20, 5, [0.5], 1), "step must be >= 2, got 1"),
+        ],
+    )
+    @pytest.mark.parametrize("seeds", [[], [1]])
+    def test_arguments_checked_without_seeds(self, args, message, seeds):
+        """An empty seed list returns no rows only after the same checks as
+        one seed."""
+        n, n_plus, f_grid, *step = args
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(n, n_plus, f_grid, seeds, *step)
 
     @given(
         counts=st.integers(min_value=2, max_value=300).flatmap(

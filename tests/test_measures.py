@@ -51,7 +51,8 @@ def dp_max_sum(kind, n, n_plus, step):
     n_minus = n - n_plus
     i_col = np.asarray(cutoffs, dtype=float)[:, None]
     c_row = np.arange(n_plus + 1, dtype=float)[None, :]
-    tm = _term_values(kind, i_col, c_row, n, n_plus) / np.log2(i_col)
+    tm = _term_values(i_col, c_row, n, n_plus)[list(MeasureKind).index(kind)]
+    tm = tm / np.log2(i_col)
     lo = [max(0, i - n_minus) for i in cutoffs]
     hi = [min(i, n_plus) for i in cutoffs]
 

@@ -397,3 +397,16 @@ class TestWriterMatchesCsvWriter:
             write_ranking_csv(rk, got)
             reference_write_ranking_csv(rk, want)
             assert got.read_bytes() == want.read_bytes()
+
+
+class TestWrittenIdsReadBack:
+    @given(ids=st.lists(CELL_TEXT, min_size=2, max_size=12, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, ids):
+        """Every id ``write_ranking_csv`` writes, CR, LF, commas and quotes
+        included, reads back unchanged."""
+        rk = Ranking(ids, [k % 2 == 0 for k in range(len(ids))], None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            write_ranking_csv(rk, path)
+            assert read_ranking_csv(path).ids == tuple(ids)
