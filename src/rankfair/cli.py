@@ -192,8 +192,6 @@ def cmd_optimize(args) -> int:
     scores = ingest.compute_scores(table, score_spec)
     feature_cols = args.features or list(score_spec.columns)
     for name in feature_cols:
-        if name not in table.data:
-            raise ingest.UnknownColumnError(name)
         if table.is_numeric(name):
             ingest.require_finite(table, name)
     features = fairopt.FeatureMatrix(

@@ -11,7 +11,9 @@ between ground-truth and estimated scores) and statistical parity of the
 prototype assignments between the protected and nonprotected groups (L_z,
 L1 distance between group-mean assignment vectors). Training is full-batch
 gradient descent with an analytic gradient and a fixed learning rate,
-deterministic given the seed.
+deterministic given the seed. Each iteration runs one forward pass, which
+computes the three losses once; the weighted total, the trace record and the
+gradient step all read them from it.
 
 The training kernels work column by column: a sum over one row's m features
 or K prototypes is one vectorized add per column over all n rows, never a
@@ -207,72 +209,60 @@ def soft_assignments(features: FeatureMatrix, model: PrototypeModel) -> np.ndarr
 
 class _Forward(NamedTuple):
     """One forward pass: assignments, reconstruction residuals, estimated
-    scores and the two groups' mean assignment vectors."""
+    scores, the protected minus the nonprotected mean assignment vector, and
+    the three losses computed from them."""
 
     m_mat: np.ndarray  # (n, K)
     residual: np.ndarray  # (n, m), x_hat - x
     y_hat: np.ndarray  # (n,)
-    mu_p: np.ndarray  # (K,), protected rows
-    mu_m: np.ndarray  # (K,), nonprotected rows
+    mu_diff: np.ndarray  # (K,), protected minus nonprotected rows
+    losses: tuple[float, float, float]  # (L_x, L_y, L_z)
 
 
 def _forward(features: FeatureMatrix, model: PrototypeModel) -> _Forward:
     m_mat = soft_assignments(features, model)
     residual = m_mat @ model.prototypes
     residual -= features.x
-    return _Forward(
-        m_mat,
-        residual,
-        m_mat @ model.score_weights,
-        m_mat[features.protected].mean(axis=0),
-        m_mat[~features.protected].mean(axis=0),
-    )
-
-
-def _losses(features: FeatureMatrix, fwd: _Forward) -> tuple[float, float, float]:
-    squares = (np.square(col) for col in fwd.residual.T)
+    y_hat = m_mat @ model.score_weights
+    prot = features.protected
+    mu_diff = m_mat[prot].mean(axis=0) - m_mat[~prot].mean(axis=0)
+    squares = (np.square(col) for col in residual.T)
     l_x = float(np.mean(_pairwise_row_sums(squares, features.m)))
-    l_y = float(np.mean(np.abs(features.y - fwd.y_hat)))
-    l_z = float(np.sum(np.abs(fwd.mu_p - fwd.mu_m)))
-    return l_x, l_y, l_z
+    l_y = float(np.mean(np.abs(features.y - y_hat)))
+    l_z = float(np.sum(np.abs(mu_diff)))
+    return _Forward(m_mat, residual, y_hat, mu_diff, (l_x, l_y, l_z))
+
+
+def _weighted_total(hyper: Hyperparams, losses: tuple[float, float, float]) -> float:
+    l_x, l_y, l_z = losses
+    return hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
 
 
 def losses(
     features: FeatureMatrix, model: PrototypeModel
 ) -> tuple[float, float, float]:
-    return _losses(features, _forward(features, model))
+    return _forward(features, model).losses
 
 
 def total_loss(
     features: FeatureMatrix, model: PrototypeModel, hyper: Hyperparams
 ) -> float:
-    l_x, l_y, l_z = losses(features, model)
-    return hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-
-
-def _group_scale(features: FeatureMatrix) -> np.ndarray:
-    """d L_z / d mu_p - d mu_m per row: 1/n_p on protected rows, -1/n_m on
-    the others."""
-    n_p = int(np.count_nonzero(features.protected))
-    return np.where(features.protected, 1.0 / n_p, -1.0 / (features.n - n_p))
+    return _weighted_total(hyper, losses(features, model))
 
 
 def _gradient(
-    features: FeatureMatrix,
-    model: PrototypeModel,
-    hyper: Hyperparams,
-    fwd: _Forward,
-    group_scale: np.ndarray,
+    features: FeatureMatrix, model: PrototypeModel, hyper: Hyperparams, fwd: _Forward
 ) -> tuple[np.ndarray, np.ndarray]:
     n = features.n
     v, w = model.prototypes, model.score_weights
     m_mat, residual = fwd.m_mat, fwd.residual
 
     sy = np.sign(fwd.y_hat - features.y)
-    sz = np.sign(fwd.mu_p - fwd.mu_m)
 
     # dL/dM, holding the explicit v-dependence of x_hat fixed; the terms
-    # share one (n, K) buffer instead of allocating an array each
+    # share one (n, K) buffer instead of allocating an array each. A zero
+    # weight skips its term: adding 0 * term could still flip a signed zero
+    # or spread a non-finite value
     g = np.zeros_like(m_mat)
     term = np.empty_like(m_mat)
     if hyper.a_x:
@@ -284,7 +274,10 @@ def _gradient(
         term *= hyper.a_y * (1.0 / n)
         g += term
     if hyper.a_z:
-        np.multiply(hyper.a_z * group_scale[:, None], sz, out=term)
+        # d mu_diff / d M per row: 1/n_p on protected rows, -1/n_m on the others
+        n_p = int(np.count_nonzero(features.protected))
+        group_scale = np.where(features.protected, 1.0 / n_p, -1.0 / (n - n_p))
+        np.multiply(hyper.a_z * group_scale[:, None], np.sign(fwd.mu_diff), out=term)
         g += term
 
     # back through the row-wise softmax over logits a_nk = -||x_n - v_k||^2:
@@ -305,9 +298,7 @@ def gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the total loss w.r.t. prototypes and score
     weights. The absolute-value terms use subgradient 0 at exact ties."""
-    return _gradient(
-        features, model, hyper, _forward(features, model), _group_scale(features)
-    )
+    return _gradient(features, model, hyper, _forward(features, model))
 
 
 def accuracy_score_diff(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -331,22 +322,6 @@ def apply_model(
     return y_hat, rank_by_score(features.ids, features.protected, y_hat)
 
 
-def _trace(
-    features: FeatureMatrix,
-    hyper: Hyperparams,
-    fwd: _Forward,
-    scale: Scale,
-    id_order: np.ndarray,
-    iteration: int,
-) -> TraceRecord:
-    l_x, l_y, l_z = _losses(features, fwd)
-    total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
-    flags = features.protected[rank_order(fwd.y_hat, id_order)]
-    _, [values] = scale.measure(scale.counts(flags))
-    score_diff = accuracy_score_diff(features.y, fwd.y_hat)
-    return TraceRecord(iteration, total, l_x, l_y, l_z, *values, score_diff)
-
-
 def train(
     features: FeatureMatrix, hyper: Hyperparams, step: int = 10
 ) -> tuple[PrototypeModel, list[TraceRecord]]:
@@ -362,26 +337,23 @@ def train(
 
     id_order = id_rank(features.ids)
     scale = Scale.of(features.n, int(np.count_nonzero(features.protected)), step)
-    group_scale = _group_scale(features)
     traces: list[TraceRecord] = []
-    prev_total: Optional[float] = None
     for it in range(hyper.max_iters):
         model = PrototypeModel(prototypes=v, score_weights=w)
         # one forward pass feeds the trace record and the gradient step
         fwd = _forward(features, model)
-        rec = _trace(features, hyper, fwd, scale, id_order, it)
-        if not np.isfinite(rec.total):
+        total = _weighted_total(hyper, fwd.losses)
+        if not math.isfinite(total):
             raise DivergenceError(it)
-        traces.append(rec)
-        if (
-            hyper.early_stop_rel_tol > 0
-            and prev_total is not None
-            and abs(prev_total - rec.total)
-            <= hyper.early_stop_rel_tol * max(abs(prev_total), 1e-12)
-        ):
-            break
-        prev_total = rec.total
-        grad_v, grad_w = _gradient(features, model, hyper, fwd, group_scale)
+        flags = features.protected[rank_order(fwd.y_hat, id_order)]
+        _, [values] = scale.measure(scale.counts(flags))
+        score_diff = accuracy_score_diff(features.y, fwd.y_hat)
+        traces.append(TraceRecord(it, total, *fwd.losses, *values, score_diff))
+        if hyper.early_stop_rel_tol > 0 and len(traces) > 1:
+            prev = traces[-2].total
+            if abs(prev - total) <= hyper.early_stop_rel_tol * max(abs(prev), 1e-12):
+                break
+        grad_v, grad_w = _gradient(features, model, hyper, fwd)
         v = v - hyper.learning_rate * grad_v
         w = w - hyper.learning_rate * grad_w
     return PrototypeModel(prototypes=v, score_weights=w), traces

@@ -133,7 +133,8 @@ def load_table(
                         values.extend(map(float, col))
                         continue
                     except ValueError:
-                        reread[j] = n_rows
+                        if n_rows:
+                            reread[j] = n_rows
                         values = columns[j] = []
                 values += col
             n_rows += len(rows)

@@ -668,6 +668,11 @@ class TestOptimize:
         assert "'x'" in err and "'b'" in err and "non-finite" in err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_unknown_feature_column_exit_2(self, dataset_csv, tmp_path, capsys):
+        args = self.base_args(dataset_csv, tmp_path, "u") + ["--features", "income", "nope"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: unknown column 'nope'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["people.csv"]
 
     def test_non_finite_model_scores_exit_1(self, dataset_csv, tmp_path, capsys):
         args = self.base_args(dataset_csv, tmp_path, "n") + ["--lr", "1e160", "--iters", "1"]

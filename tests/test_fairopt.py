@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rankfair import fairopt
 from rankfair.fairopt import (
     DivergenceError,
     FeatureMatrix,
@@ -290,7 +292,7 @@ class TestTrain:
         hyper = Hyperparams(k=10, learning_rate=1e160, max_iters=50, seed=0)
         with pytest.raises(DivergenceError) as exc:
             train(biased_features, hyper)
-        assert exc.value.iteration >= 0
+        assert exc.value.iteration == 1
 
     def test_early_stop(self, biased_features):
         hyper = Hyperparams(
@@ -388,6 +390,19 @@ class TestSharedForwardPass:
                 assert traces == ref_traces, (name, step)
                 assert np.array_equal(model.prototypes, ref_model.prototypes)
                 assert np.array_equal(model.score_weights, ref_model.score_weights)
+
+    def test_one_forward_pass_and_one_sort_per_iteration(self, biased_features, monkeypatch):
+        calls = collections.Counter()
+        for name in ("soft_assignments", "rank_order"):
+
+            def counted(*args, _real=getattr(fairopt, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(fairopt, name, counted)
+        _, traces = train(biased_features, Hyperparams(k=5, max_iters=7, seed=0))
+        assert len(traces) == 7
+        assert calls == {"soft_assignments": 7, "rank_order": 7}
 
     @pytest.mark.parametrize("hyper", HYPERS)
     def test_majority_protected_trace_matches_reference(self, biased_features, hyper):

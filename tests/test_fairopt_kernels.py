@@ -151,6 +151,7 @@ SHAPES = [(2000, 8, 10), (300, 9, 17), (300, 17, 17), (200, 131, 5), (300, 3, 13
 TRAIN_HYPERS = [
     dict(max_iters=6, seed=2),
     dict(a_x=0.3, a_y=0.0, a_z=2.0, learning_rate=0.2, max_iters=6, seed=5),
+    dict(a_x=0.0, a_y=1.0, a_z=0.0, learning_rate=0.1, max_iters=6, seed=3),
 ]
 
 

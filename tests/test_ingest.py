@@ -14,7 +14,7 @@ from conftest import (
     reference_load_table,
     reference_score_and_rank,
 )
-from rankfair import ranking
+from rankfair import ingest, ranking
 from rankfair.ingest import (
     ProtectedSpec,
     ScoreSpec,
@@ -187,6 +187,29 @@ class TestBlocksMatchReference:
         for name in table.columns:
             assert list(table.column(name)) == ref.column(name), name
         assert not table.column("w").flags.writeable
+
+    @pytest.mark.parametrize(
+        "ids,opens", [("r{}", 1), ("{}", 2)], ids=["text_from_first_block", "text_later"]
+    )
+    def test_file_is_opened_again_only_to_read_back_numbers(
+        self, tmp_path, monkeypatch, ids, opens
+    ):
+        """An id column that is text from its first row has no earlier
+        values to read back, so the file is opened once; one that turns
+        text in the second block is opened again for its first block."""
+        rows = [f"{ids.format(j)},{j % 2},{j / 4}" for j in range(self.N_ROWS)]
+        rows[BLOCK + 9] = f"id-{BLOCK + 9},1,2"
+        path = write_csv(tmp_path, "id,g,v\n" + "\n".join(rows) + "\n")
+        paths = []
+
+        def counted(csv_path, *args, _real=ingest.open_csv):
+            paths.append(csv_path)
+            return _real(csv_path, *args)
+
+        monkeypatch.setattr(ingest, "open_csv", counted)
+        table = load_table(path, "id")
+        assert paths == [path] * opens
+        assert table.row_ids == reference_load_table(path, "id").row_ids
 
 
 class TestByteOrderMark:
