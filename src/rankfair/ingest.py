@@ -146,8 +146,8 @@ def load_table(
         raise TableLoadError(f"{path}: no data rows")
     row_ids = tuple(ids) if id_pos is not None else tuple(map(str, range(1, n_rows + 1)))
     del ids  # before the repeat check's arrays are made
-    repeated = duplicates(row_ids)
-    if repeated:
+    # numbered rows cannot repeat
+    if id_pos is not None and (repeated := duplicates(row_ids)):
         raise TableLoadError(f"{path}: duplicate row id {repeated[0]!r}")
 
     earlier = _first_rows(path, reread) if reread else {}

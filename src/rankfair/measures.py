@@ -11,11 +11,12 @@ builds the cutoffs, checks the group, computes the normalizers and decides
 whether rRD applies (a minority protected group, or the explicit override).
 One vectorized kernel, ``_discounted_terms``, computes every discounted term
 (term / log2 i) over one or more rows of prefix counts, and one call of it
-evaluates all three measures, stacked in ``MeasureKind`` order; the tests pin
-it to a scalar definition of the undiscounted term. Every caller sums a row
-with ``_row_sums``, strictly left to right, so a ranking equal to the
-maximizing extreme scores exactly 1 and no value depends on the Python
-version.
+evaluates all three measures, stacked in ``MeasureKind`` order. It is the only
+code that computes a parity term; the tests pin it exactly to each term
+computed from its definition in Python floats, with numpy's log2 (``math.log2``
+differs by an ulp on some arguments). Every caller sums a row with
+``_row_sums``, strictly left to right, so a ranking equal to the maximizing
+extreme scores exactly 1 and no value depends on the Python version.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -56,38 +57,6 @@ class MeasureKind(enum.Enum):
     RRD = "rrd"
 
 
-def _kl_terms(
-    p1: np.ndarray, p2: np.ndarray, q1: float, q2: float
-) -> np.ndarray:
-    """Elementwise KL((p1, p2) || (q1, q2)), base 2, safe at zero components
-    of P. Clamped at 0: KL is non-negative and tiny negative values can only
-    be rounding noise."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    t1 = np.where(p1 > 0.0, p1 * np.log2(np.maximum(p1, _TINY) / q1), 0.0)
-    t2 = np.where(p2 > 0.0, p2 * np.log2(np.maximum(p2, _TINY) / q2), 0.0)
-    return np.maximum(t1 + t2, 0.0)
-
-
-def _term_values(i: np.ndarray, c: np.ndarray, n: int, n_plus: int) -> np.ndarray:
-    """Undiscounted rND, rKL and rRD terms, stacked on a new first axis in
-    ``MeasureKind`` order, each broadcast over cutoff i and prefix count c.
-
-    Entries at infeasible (i, c) pairs are garbage-free but meaningless and
-    must be masked by the caller.
-    """
-    i = np.asarray(i, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n_minus = n - n_plus
-    share, rest = c / i, i - c
-    # both KL components come straight from the counts so that a prefix in
-    # exact proportion yields exactly 0
-    rkl = _kl_terms(share, rest / i, n_plus / n, n_minus / n)
-    # rRD: a fraction with a zero numerator or denominator counts as 0
-    ratio = np.divide(c, rest, out=np.zeros_like(rest), where=(c > 0.0) & (rest > 0.0))
-    return np.stack([np.abs(share - n_plus / n), rkl, np.abs(ratio - n_plus / n_minus)])
-
-
 def check_group(n: int, n_plus: int) -> None:
     """Raise ``DegenerateGroupError`` unless both groups are nonempty."""
     if n_plus <= 0 or n_plus >= n:
@@ -110,11 +79,26 @@ def _discounted_terms(
     cutoffs, stacked on a new first axis in ``MeasureKind`` order.
 
     ``counts`` holds the prefix counts at ``cutoffs`` along its last axis, one
-    row per ranking. Every discounted value is computed here, and callers sum
-    a row strictly left to right with ``_row_sums``, so a ranking equal to
-    the maximizing extreme scores exactly 1.
+    row per ranking; entries at infeasible pairs are meaningless. Every parity
+    term is computed here, and callers sum a row strictly left to right with
+    ``_row_sums``, so a ranking equal to the maximizing extreme scores
+    exactly 1.
     """
-    return _term_values(cutoffs, counts, n, n_plus) / np.log2(cutoffs)
+    i = np.asarray(cutoffs, dtype=float)
+    c = np.asarray(counts, dtype=float)
+    share, rest = c / i, i - c
+    # rKL: KL((share, rest / i) || (n_plus / n, n_minus / n)), both components
+    # straight from the counts so that a prefix in exact proportion yields
+    # exactly 0; 0 * log 0 = 0, and a tiny negative sum is rounding noise
+    kl1, kl2 = (
+        np.where(p > 0.0, p * np.log2(np.maximum(p, _TINY) / q), 0.0)
+        for p, q in ((share, n_plus / n), (rest / i, (n - n_plus) / n))
+    )
+    rkl = np.maximum(kl1 + kl2, 0.0)
+    # rRD: a fraction with a zero numerator or denominator counts as 0
+    ratio = np.divide(c, rest, out=np.zeros_like(rest), where=(c > 0.0) & (rest > 0.0))
+    terms = [np.abs(share - n_plus / n), rkl, np.abs(ratio - n_plus / (n - n_plus))]
+    return np.stack(terms) / np.log2(i)
 
 
 def normalizer(

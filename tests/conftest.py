@@ -15,14 +15,7 @@ from rankfair.ingest import (
     TableLoadError,
     UnknownColumnError,
 )
-from rankfair.measures import (
-    DegenerateGroupError,
-    MeasureKind,
-    check_group,
-    _kl_terms,
-    _term_values,
-    feasible_band,
-)
+from rankfair.measures import DegenerateGroupError, MeasureKind, check_group
 from rankfair.ranking import (
     Ranking,
     RankingFormatError,
@@ -55,8 +48,12 @@ def biased_features() -> FeatureMatrix:
 
 # --- scalar references -------------------------------------------------------
 #
-# The scalar parity term that the vectorized kernel is pinned to, the binary
-# KL divergence behind rKL's term, and a ranking built from flags alone.
+# The set-wise parity term and the binary KL divergence behind rKL's term,
+# each computed from its definition in Python floats, apart from the
+# vectorized kernel ``_discounted_terms`` that they pin; and a ranking built
+# from flags alone. The logarithm is numpy's ``log2`` on scalars, the one the
+# kernel uses: ``math.log2`` differs from it by an ulp on some arguments, and
+# the references pin the formulas, not the platform's log.
 
 
 @dataclass(frozen=True)
@@ -73,33 +70,42 @@ class BinaryDistribution:
 
 def kl_divergence(p: BinaryDistribution, q: BinaryDistribution) -> float:
     """Base-2 KL divergence between two binary distributions, with the
-    0*log(0/q) = 0 convention. Q must be strictly positive."""
+    0*log(0/q) = 0 convention, clamped at 0 (a negative value can only be
+    rounding noise). Q must be strictly positive."""
     if q.p_plus <= 0.0 or q.p_minus <= 0.0:
         raise DegenerateGroupError(
             "reference distribution has a zero component"
         )
-    out = _kl_terms(
-        np.asarray(p.p_plus, dtype=float),
-        np.asarray(p.p_minus, dtype=float),
-        q.p_plus,
-        q.p_minus,
+    plus, minus = (
+        pk * float(np.log2(pk / qk)) if pk > 0.0 else 0.0
+        for pk, qk in ((p.p_plus, q.p_plus), (p.p_minus, q.p_minus))
     )
-    return float(out)
+    return max(plus + minus, 0.0)
 
 
 def parity_term(
     kind: MeasureKind, i: int, c: int, n: int, n_plus: int
 ) -> float:
     """The undiscounted set-wise parity term at cutoff ``i`` with ``c``
-    protected items in the prefix: the scalar definition, checked for a
-    feasible ``c``. The measures, normalizers and report use the vectorized
-    ``_discounted_terms``, which yields this value divided by log2(i)."""
+    protected items in the prefix, from its definition, for a feasible ``c``:
+    rND is |c/i - n+/n|, rKL is KL((c/i, (i-c)/i) || (n+/n, n-/n)), and rRD is
+    |c/(i-c) - n+/n-|, where that fraction counts as 0 when c or i - c is 0.
+    The measures, normalizers and report use the vectorized
+    ``_discounted_terms``, which must yield this value divided by log2(i)."""
     check_group(n, n_plus)
-    lo, hi = feasible_band(i, n, n_plus)
+    n_minus = n - n_plus
+    lo, hi = max(0, i - n_minus), min(i, n_plus)
     if not lo <= c <= hi:
         raise ValueError(f"c={c} infeasible at cutoff {i} (range [{lo},{hi}])")
-    terms = _term_values(np.array(i), np.array(c), n, n_plus)
-    return float(terms[list(MeasureKind).index(kind)])
+    if kind is MeasureKind.RND:
+        return abs(c / i - n_plus / n)
+    if kind is MeasureKind.RKL:
+        return kl_divergence(
+            BinaryDistribution(c / i, (i - c) / i),
+            BinaryDistribution(n_plus / n, n_minus / n),
+        )
+    ratio = c / (i - c) if c > 0 and i - c > 0 else 0.0
+    return abs(ratio - n_plus / n_minus)
 
 
 def ranking_from_flags(

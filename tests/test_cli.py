@@ -569,6 +569,79 @@ def test_degenerate_group_exit_1_before_any_output(
     assert [p.name for p in tmp_path.iterdir()] == ["people.csv"]
 
 
+# Exit-code cases as (argv, stderr message). "{name}" in either is the path of
+# input ``name`` (the ``dataset_csv`` fixture or one of INPUTS); "{out}" is a
+# directory that must stay empty.
+INPUTS = {
+    "ranking": "id,protected,score\na,1,0.9\nb,0,0.5\nc,1,0.2\nd,0,0.1\n",
+    "repeated_id": "id,protected,score\na,1,0.9\na,0,0.5\nc,1,0.2\n",
+    "one_row": "id,protected,score\na,1,0.9\n",
+    "repeated_row_id": "id,g,x\n1,0,0.5\n1,1,0.2\n3,0,0.3\n",
+}
+OPTIMIZE = [
+    "optimize", "{people}", "--id-col", "id", "--protected-col", "age",
+    "--protected-less-than", "25", "--score-col", "income", "--iters", "2",
+    "--trace-out", "{out}/t.csv", "--model-out", "{out}/m.json",
+    "--ranking-out", "{out}/r.csv",
+]
+EXIT_1 = {
+    "measure_step_1": (
+        ["measure", "{ranking}", "--step", "1", "--out", "{out}/m.json"],
+        "step must be >= 2, got 1",
+    ),
+    "optimize_step_1": ([*OPTIMIZE, "--k", "2", "--step", "1"], "step must be >= 2, got 1"),
+    "measure_repeated_id": (
+        ["measure", "{repeated_id}", "--out", "{out}/m.json"], "duplicate id 'a'"
+    ),
+    "measure_one_row": (["measure", "{one_row}", "--out", "{out}/m.json"], "n < 2 (got 1)"),
+    "rank_repeated_row_id": (
+        [
+            "rank", "{repeated_row_id}", "--id-col", "id", "--protected-col", "g",
+            "--protected-equals", "1", "--score-col", "x", "--out", "{out}/r.csv",
+        ],
+        "{repeated_row_id}: duplicate row id '1'",
+    ),
+    "optimize_k_above_rows": ([*OPTIMIZE, "--k", "31"], "k=31 exceeds row count 30"),
+}
+EXIT_2 = {
+    "generate_n_alone": (
+        ["generate", "--n", "20", "--f", "0.5", "--out", "{out}/g.csv"],
+        "--n and --n-plus go together",
+    ),
+    "generate_n_plus_alone": (
+        ["generate", "--n-plus", "5", "--f", "0.5", "--out", "{out}/g.csv"],
+        "--n and --n-plus go together",
+    ),
+    "generate_n_with_base": (
+        ["generate", "--n", "20", "--base", "{ranking}", "--f", "0.5", "--out", "{out}/g.csv"],
+        "give either --n/--n-plus or --base, not both",
+    ),
+}
+
+
+def check_exit_case(tmp_path, capsys, dataset_csv, code, argv, message):
+    """Run one exit-code case: it exits ``code`` with ``message`` alone on
+    stderr and writes no output file."""
+    paths = {"people": dataset_csv, "out": str(tmp_path / "out")}
+    for name, text in INPUTS.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        Path(paths[name]).write_text(text)
+    (tmp_path / "out").mkdir()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_1))
+def test_domain_error_cases_exit_1(dataset_csv, tmp_path, capsys, case):
+    check_exit_case(tmp_path, capsys, dataset_csv, 1, *EXIT_1[case])
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2))
+def test_usage_error_cases_exit_2(dataset_csv, tmp_path, capsys, case):
+    check_exit_case(tmp_path, capsys, dataset_csv, 2, *EXIT_2[case])
+
+
 class TestOsErrors:
     """An unreadable input or unwritable output path exits 2 with the path the
     user gave, no traceback, and no temp file left behind."""

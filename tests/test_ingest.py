@@ -117,6 +117,23 @@ class TestLoadTable:
         path = write_csv(tmp_path, "v\n5\n6\n")
         assert load_table(path).row_ids == ("1", "2")
 
+    @pytest.mark.parametrize("id_col,calls", [(None, 1), ("id", 2)])
+    def test_only_given_row_ids_are_checked_for_repeats(
+        self, tmp_path, monkeypatch, id_col, calls
+    ):
+        """The header is always checked; numbered rows cannot repeat, so the
+        row ids are checked only when they come from a column."""
+        path = write_csv(tmp_path, "id,v\na,5\nb,6\n")
+        checked = []
+
+        def counted(ids, _real=ingest.duplicates):
+            checked.append(tuple(ids))
+            return _real(ids)
+
+        monkeypatch.setattr(ingest, "duplicates", counted)
+        load_table(path, id_col)
+        assert checked == [("id", "v"), ("a", "b")][:calls]
+
 
 BLOCK = ranking._BLOCK_ROWS
 

@@ -16,8 +16,8 @@ from rankfair.measures import (
     measure_from_flags,
     normalizer,
     report_to_json,
+    _discounted_terms,
     _row_sums,
-    _term_values,
 )
 from rankfair.ranking import Ranking, build_schedule
 
@@ -51,8 +51,7 @@ def dp_max_sum(kind, n, n_plus, step):
     n_minus = n - n_plus
     i_col = np.asarray(cutoffs, dtype=float)[:, None]
     c_row = np.arange(n_plus + 1, dtype=float)[None, :]
-    tm = _term_values(i_col, c_row, n, n_plus)[list(MeasureKind).index(kind)]
-    tm = tm / np.log2(i_col)
+    tm = _discounted_terms(i_col, c_row, n, n_plus)[list(MeasureKind).index(kind)]
     lo = [max(0, i - n_minus) for i in cutoffs]
     hi = [min(i, n_plus) for i in cutoffs]
 
