@@ -14,7 +14,12 @@ import math
 from pathlib import Path
 
 from rankfair.cli import parse_f_grid
-from rankfair.generator import aggregate_sweep, sweep, write_aggregate_csv, write_sweep_csv
+from rankfair.generator import (
+    aggregate_values,
+    sweep_values,
+    write_aggregate_csv,
+    write_values_csv,
+)
 
 
 def main() -> None:
@@ -41,12 +46,13 @@ def main() -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    seeds = range(args.seeds)
     for n_plus in args.n_plus:
-        rows = sweep(args.n, n_plus, f_grid, range(args.seeds))
-        aggs = aggregate_sweep(rows)
+        values = sweep_values(args.n, n_plus, f_grid, seeds)
+        aggs = aggregate_values(f_grid, values)
         cells = out_dir / f"sweep_n{args.n}_p{n_plus}.csv"
         means = out_dir / f"sweep_n{args.n}_p{n_plus}.agg.csv"
-        write_sweep_csv(rows, cells)
+        write_values_csv(f_grid, seeds, values, cells)
         write_aggregate_csv(aggs, means)
         best = min(aggs, key=lambda a: a.mean_rnd)
         print(

@@ -147,12 +147,12 @@ def cmd_sweep(args) -> int:
     agg_out = args.agg_out or str(Path(args.out).with_suffix(".agg.csv"))
     _require_distinct_outputs(("--out", args.out), ("--agg-out", agg_out))
     f_grid = parse_f_grid(args.f_grid)
-    seeds = list(range(args.seeds))
-    rows = generator.sweep(args.n, args.n_plus, f_grid, seeds, step=args.step)
-    aggs = generator.aggregate_sweep(rows)
-    generator.write_sweep_csv(rows, args.out)
+    seeds = range(args.seeds)
+    values = generator.sweep_values(args.n, args.n_plus, f_grid, seeds, step=args.step)
+    aggs = generator.aggregate_values(f_grid, values)
+    generator.write_values_csv(f_grid, seeds, values, args.out)
     generator.write_aggregate_csv(aggs, agg_out)
-    print(f"wrote {args.out} ({len(rows)} rows) and {agg_out} ({len(aggs)} rows)")
+    print(f"wrote {args.out} ({values[:, 0].size} rows) and {agg_out} ({len(aggs)} rows)")
     return EXIT_OK
 
 

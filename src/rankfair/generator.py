@@ -12,6 +12,15 @@ is the running count of draws below f, clipped to ``feasible_band`` at k,
 since once a group runs out the other fills every later step. The band's
 edges are the segregated rankings that the normalizer evaluates.
 
+A sweep is one float array of shape (f values, 3 measures, seeds), the seeds
+on its last, contiguous axis, and rRD NaN where it does not apply; no object
+is made per (f, seed) cell. Each seed's counts are measured in kernel calls
+of at most 2**16 terms, so the kernel's memory is bounded at any n. The per-f
+means take one ``np.mean`` per distinct f over a contiguous block of its
+cells, and the per-cell CSV is formatted from the array in blocks of at most
+2**16 lines. ``sweep``, ``aggregate_sweep`` and ``write_sweep_csv`` run the
+same routines for one ``SweepRow`` per cell.
+
 The RNG is numpy's default PCG64 generator, so outputs are reproducible
 across platforms for a given seed.
 """
@@ -20,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import Scale, feasible_band
-from .ranking import Ranking, fmt, write_csv
+from .measures import Scale, _discounted_terms, _row_sums, feasible_band
+from .ranking import Ranking, fmt, open_atomic, write_csv
 
 
 def _check_probability(f: float) -> None:
@@ -38,27 +47,35 @@ def _check_counts(n: int, n_plus: int) -> None:
         raise ValueError(f"invalid counts n={n}, n_plus={n_plus}")
 
 
-def _merged_counts(
-    u: np.ndarray, f_grid: Sequence[float], cutoffs: np.ndarray, n_plus: int
-) -> np.ndarray:
-    """Protected counts of the biased merge whose step k draws ``u[k]``, for
-    ``u.size`` items with ``n_plus`` protected: one row per f in ``f_grid``,
-    one column per ascending cutoff, the last of which is ``u.size``.
+def _merger(
+    f_grid: Sequence[float], cutoffs: np.ndarray, n: int, n_plus: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The protected counts of the biased merge of ``n`` items, ``n_plus``
+    protected, as a function of the draws ``u`` (step k draws ``u[k]``): one
+    row per f in ``f_grid``, one column per ascending cutoff, the last of
+    which is ``n``.
 
     One histogram pass serves every f. A draw's bin is the cutoff interval
     that holds its step and the number of grid values at or below it.
     Cumulative sums over the intervals, then over those numbers, count the
     draws strictly below each f by each cutoff, for any grid order and with
-    repeated values.
+    repeated values. What does not depend on the draws is computed here,
+    once for every seed.
     """
     edges = np.sort(np.asarray(f_grid, dtype=float))
     width = edges.size + 1
-    interval = np.repeat(np.arange(cutoffs.size), np.diff(cutoffs, prepend=0))
-    bins = interval * width + np.searchsorted(edges, u, side="right")
-    hist = np.bincount(bins, minlength=cutoffs.size * width).reshape(-1, width)
-    below = hist.cumsum(axis=0).cumsum(axis=1)[:, np.searchsorted(edges, f_grid)]
-    lo, hi = feasible_band(cutoffs, u.size, n_plus)
-    return np.clip(below.T, lo, hi)
+    offsets = np.repeat(np.arange(cutoffs.size) * width, np.diff(cutoffs, prepend=0))
+    columns = np.searchsorted(edges, f_grid)
+    lo, hi = feasible_band(cutoffs, n, n_plus)
+
+    def counts(u: np.ndarray) -> np.ndarray:
+        bins = np.searchsorted(edges, u, side="right")
+        bins += offsets
+        hist = np.bincount(bins, minlength=cutoffs.size * width).reshape(-1, width)
+        below = hist.cumsum(axis=0).cumsum(axis=1)[:, columns].T
+        return np.minimum(np.maximum(below, lo, out=below), hi, out=below)
+
+    return counts
 
 
 def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
@@ -68,7 +85,7 @@ def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
     flags = np.asarray(flags, dtype=bool)
     n = flags.size
     u = np.random.default_rng(seed).random(n)
-    counts = _merged_counts(u, [f], np.arange(1, n + 1), int(flags.sum()))[0]
+    counts = _merger([f], np.arange(1, n + 1), n, int(flags.sum()))(u)[0]
     took_prot = np.diff(counts, prepend=0) > 0
     order = np.empty(n, dtype=np.intp)
     order[took_prot] = np.flatnonzero(flags)
@@ -109,6 +126,45 @@ class SweepRow:
     rrd: Optional[float]
 
 
+# The most terms a sweep puts in one kernel call: at n = 1000 (100 cutoffs) a
+# seed's 11 f values take one call, and at n = 10**6 each call takes one f
+# row, so the kernel's working memory stays bounded at any n.
+_KERNEL_TERMS = 2**16
+# The most per-cell lines formatted, joined and written at once.
+_WRITE_LINES = 2**16
+_CELL = "{:.6f},{},{:.6f},{:.6f},{}\n".format
+
+
+def sweep_values(
+    n: int, n_plus: int, f_grid: Sequence[float], seeds: Sequence[int], step: int = 10
+) -> np.ndarray:
+    """For each f and seed, draw the seed's random base, bias it with f and
+    measure the result: a (len(f_grid), 3, len(seeds)) array, measures in
+    ``MeasureKind`` order and seeds on the last, contiguous axis. rRD is NaN
+    when the protected group is the majority.
+
+    The flag sequence of a biased merge does not depend on the base, so no
+    base is drawn: each seed draws its n uniforms once, one histogram pass
+    over them gives every f's prefix counts at the cutoffs, and the seed's
+    rows are measured on one ``measures.Scale``, in kernel calls of at most
+    ``_KERNEL_TERMS`` terms (at least one row).
+    """
+    _check_counts(n, n_plus)
+    for f in f_grid:
+        _check_probability(f)
+    scale = Scale.of(n, n_plus, step)
+    values = np.empty((len(f_grid), 3, len(seeds)))
+    merged = _merger(f_grid, scale.cutoffs, n, n_plus)
+    rows = max(1, _KERNEL_TERMS // scale.cutoffs.size)
+    for k, seed in enumerate(seeds):
+        counts = merged(np.random.default_rng(seed).random(n))
+        for j in range(0, counts.shape[0], rows):
+            sums = _row_sums(_discounted_terms(scale.cutoffs, counts[j : j + rows], n, n_plus))
+            values[j : j + rows, :, k] = scale.normalize(sums).T
+        del counts  # before the next seed's merge
+    return values
+
+
 def sweep(
     n: int,
     n_plus: int,
@@ -116,32 +172,21 @@ def sweep(
     seeds: Sequence[int],
     step: int = 10,
 ) -> list[SweepRow]:
-    """One row per (f, seed), f outer: draw the seed's random base, bias it
-    with f, and measure the result. The rRD column is None when the
-    protected group is the majority.
-
-    The flag sequence of a biased merge does not depend on the base, so no
-    base is drawn: each seed draws its n uniforms once, one histogram pass
-    over them gives every f's prefix counts at the cutoffs, and the seed's
-    rows are measured together on one ``measures.Scale``.
-    """
+    """``sweep_values`` as one row per (f, seed), f outer. The rRD column is
+    None when the protected group is the majority."""
     seeds, f_grid = list(seeds), list(f_grid)
-    _check_counts(n, n_plus)
-    for f in f_grid:
-        _check_probability(f)
-    scale = Scale.of(n, n_plus, step)
-    if not seeds or not f_grid:
-        return []
-    per_seed = []
-    for seed in seeds:
-        u = np.random.default_rng(seed).random(n)
-        counts = _merged_counts(u, f_grid, scale.cutoffs, n_plus)
-        per_seed.append(scale.measure(counts)[1])
+    values = sweep_values(n, n_plus, f_grid, seeds, step)
     return [
-        SweepRow(f, seed, *values[j])
-        for j, f in enumerate(f_grid)
-        for seed, values in zip(seeds, per_seed)
+        SweepRow(f, seed, rnd, rkl, None if rrd != rrd else rrd)
+        for f, cells in zip(f_grid, values.transpose(0, 2, 1).tolist())
+        for seed, (rnd, rkl, rrd) in zip(seeds, cells)
     ]
+
+
+def _row_values(rows: Sequence[SweepRow]) -> np.ndarray:
+    """The rows' measures as a (len(rows), 3, 1) array, NaN for a None rRD."""
+    cells = [(r.rnd, r.rkl, np.nan if r.rrd is None else r.rrd) for r in rows]
+    return np.array(cells, dtype=float).reshape(-1, 3, 1)
 
 
 @dataclass(frozen=True)
@@ -152,32 +197,56 @@ class SweepAggregate:
     mean_rrd: Optional[float]
 
 
+def aggregate_values(f_grid: Sequence[float], values: np.ndarray) -> list[SweepAggregate]:
+    """Per-f means across seeds of a ``sweep_values`` array, in ascending f
+    order; the mean rRD is None where a value is NaN. Each distinct f takes
+    one ``np.mean`` along the last axis of a contiguous (3, cells) block that
+    pools every cell whose grid entry equals it, in grid order with the seeds
+    inner: the order of ``sweep``'s rows, so each mean is bit for bit that of
+    a list of them."""
+    keys = np.asarray(f_grid, dtype=float)
+    order = np.argsort(keys, kind="stable")
+    # the first index of each run of equal f values, then the end
+    bounds = np.flatnonzero(np.diff(keys[order], prepend=-np.inf, append=np.inf))
+    aggs = []
+    for start, end in zip(bounds.tolist(), bounds[1:].tolist()):
+        pooled = np.concatenate(values[order[start:end]], axis=-1)
+        rnd, rkl, rrd = np.mean(pooled, axis=-1).tolist()
+        aggs.append(
+            SweepAggregate(f_grid[order[start]], rnd, rkl, None if rrd != rrd else rrd)
+        )
+    return aggs
+
+
 def aggregate_sweep(rows: Sequence[SweepRow]) -> list[SweepAggregate]:
     """Per-f means across seeds, in ascending f order."""
-    by_f: dict[float, list[SweepRow]] = {}
-    for row in rows:
-        by_f.setdefault(row.f, []).append(row)
-    out = []
-    for f in sorted(by_f):
-        group = by_f[f]
-        rrds = [r.rrd for r in group if r.rrd is not None]
-        out.append(
-            SweepAggregate(
-                f=f,
-                mean_rnd=float(np.mean([r.rnd for r in group])),
-                mean_rkl=float(np.mean([r.rkl for r in group])),
-                mean_rrd=float(np.mean(rrds)) if len(rrds) == len(group) else None,
-            )
-        )
-    return out
+    return aggregate_values([r.f for r in rows], _row_values(rows))
+
+
+def write_values_csv(
+    f_grid: Sequence[float], seeds: Sequence[int], values: np.ndarray, path: str | Path
+) -> None:
+    """Write the per-cell CSV of a ``sweep_values`` array: header
+    ``f,seed,rnd,rkl,rrd``, one line per (f, seed), f outer, reals as
+    ``fmt`` writes them and a NaN rRD empty. ``seeds`` holds the seeds of the
+    last axis, or one seed per cell as an array of shape (len(f_grid), 1).
+    Lines are formatted from the columns and written ``_WRITE_LINES`` at a
+    time, through ``open_atomic``."""
+    f = np.asarray(f_grid, dtype=float)
+    seeds = np.broadcast_to(np.asarray(seeds), values[:, 0].shape)
+    with open_atomic(path) as fh:
+        fh.write("f,seed,rnd,rkl,rrd\n")
+        for start in range(0, seeds.size, _WRITE_LINES):
+            cells = np.arange(start, min(start + _WRITE_LINES, seeds.size))
+            j, k = np.divmod(cells, values.shape[-1])
+            rnd, rkl, rrd = values[j, :, k].T.tolist()
+            rrd = ["" if x != x else f"{x:.6f}" for x in rrd]
+            fh.write("".join(map(_CELL, f[j].tolist(), seeds[j, k].tolist(), rnd, rkl, rrd)))
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    write_csv(
-        path,
-        ["f", "seed", "rnd", "rkl", "rrd"],
-        ([fmt(r.f), r.seed, fmt(r.rnd), fmt(r.rkl), fmt(r.rrd)] for r in rows),
-    )
+    seeds = np.array([r.seed for r in rows]).reshape(-1, 1)
+    write_values_csv([r.f for r in rows], seeds, _row_values(rows), path)
 
 
 def write_aggregate_csv(aggs: Sequence[SweepAggregate], path: str | Path) -> None:

@@ -11,12 +11,14 @@ builds the cutoffs, checks the group, computes the normalizers and decides
 whether rRD applies (a minority protected group, or the explicit override).
 One vectorized kernel, ``_discounted_terms``, computes every discounted term
 (term / log2 i) over one or more rows of prefix counts, and one call of it
-evaluates all three measures, stacked in ``MeasureKind`` order. It is the only
-code that computes a parity term; the tests pin it exactly to each term
-computed from its definition in Python floats, with numpy's log2 (``math.log2``
-differs by an ulp on some arguments). Every caller sums a row with
-``_row_sums``, strictly left to right, so a ranking equal to the maximizing
-extreme scores exactly 1 and no value depends on the Python version.
+evaluates all three measures, written into one stack in ``MeasureKind`` order
+with each temporary dropped once read. It is the only code that computes a
+parity term; the tests pin it exactly to each term computed from its
+definition in Python floats, with numpy's log2 (``math.log2`` differs by an
+ulp on some arguments). Every caller sums a row with ``_row_sums``, strictly
+left to right, so a ranking equal to the maximizing extreme scores exactly 1
+and no value depends on the Python version. ``Scale.normalize`` is the one
+place a sum is divided by its normalizer.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -86,19 +88,33 @@ def _discounted_terms(
     """
     i = np.asarray(cutoffs, dtype=float)
     c = np.asarray(counts, dtype=float)
-    share, rest = c / i, i - c
+    # each measure is written into its row of ``out``, and each temporary is
+    # dropped once read, so a call holds about six arrays of ``counts``' size
+    share = c / i
+    rnd, rkl, rrd = out = np.empty((3, *share.shape))
+    np.abs(np.subtract(share, n_plus / n, out=rnd), out=rnd)
     # rKL: KL((share, rest / i) || (n_plus / n, n_minus / n)), both components
     # straight from the counts so that a prefix in exact proportion yields
-    # exactly 0; 0 * log 0 = 0, and a tiny negative sum is rounding noise
-    kl1, kl2 = (
-        np.where(p > 0.0, p * np.log2(np.maximum(p, _TINY) / q), 0.0)
-        for p, q in ((share, n_plus / n), (rest / i, (n - n_plus) / n))
-    )
-    rkl = np.maximum(kl1 + kl2, 0.0)
+    # exactly 0; 0 * log 0 = 0, and a tiny negative sum is rounding noise.
+    # The second component is built in rRD's row before rRD is.
+    _kl_component(share, n_plus / n, rkl)
+    rest = np.subtract(i, c, out=share)
+    _kl_component(rest / i, (n - n_plus) / n, rrd)
+    np.maximum(np.add(rkl, rrd, out=rkl), 0.0, out=rkl)
     # rRD: a fraction with a zero numerator or denominator counts as 0
-    ratio = np.divide(c, rest, out=np.zeros_like(rest), where=(c > 0.0) & (rest > 0.0))
-    terms = [np.abs(share - n_plus / n), rkl, np.abs(ratio - n_plus / (n - n_plus))]
-    return np.stack(terms) / np.log2(i)
+    rrd.fill(0.0)
+    np.divide(c, rest, out=rrd, where=(c > 0.0) & (rest > 0.0))
+    np.abs(np.subtract(rrd, n_plus / (n - n_plus), out=rrd), out=rrd)
+    out /= np.log2(i)
+    return out
+
+
+def _kl_component(p: np.ndarray, q: float, out: np.ndarray) -> None:
+    """``p * log2(p / q)`` into ``out``, and 0 where ``p`` (never NaN) is not
+    above 0."""
+    np.log2(np.divide(np.maximum(p, _TINY, out=out), q, out=out), out=out)
+    out *= p
+    np.copyto(out, 0.0, where=p <= 0.0)
 
 
 def normalizer(
@@ -155,18 +171,21 @@ class Scale(NamedTuple):
         """Prefix counts of ``flags`` (in rank order) at the cutoffs."""
         return np.cumsum(flags)[self.cutoffs - 1]
 
+    def normalize(self, sums: np.ndarray) -> np.ndarray:
+        """Discounted sums, one row per measure in ``MeasureKind`` order, each
+        over its normalizer: 0.0 where that is 0, NaN where it is None."""
+        zs = np.array([np.nan if z is None else z for z in self.normalizers])[:, None]
+        return np.divide(sums, zs, out=np.zeros_like(sums), where=zs != 0.0)
+
     def measure(self, counts: np.ndarray) -> tuple[np.ndarray, list]:
         """Rankings measured from their prefix counts at the cutoffs, one row
         of ``counts`` per ranking, in one kernel call: the stack of every
         row's discounted terms from ``_discounted_terms``, and per row
-        ``(rnd, rkl, rrd)`` as Python floats, each row's ``_row_sums`` over
-        its normalizer (0.0 where that is 0; None for an inapplicable rRD)."""
+        ``(rnd, rkl, rrd)`` as Python floats, each row's ``_row_sums`` as
+        ``normalize`` divides it (None for an inapplicable rRD)."""
         terms = _discounted_terms(self.cutoffs, np.atleast_2d(counts), self.n, self.n_plus)
-        values = [
-            [None] * len(sums) if z is None else [s / z if z else 0.0 for s in sums]
-            for sums, z in zip(_row_sums(terms).tolist(), self.normalizers)
-        ]
-        return terms, list(zip(*values))
+        values = self.normalize(_row_sums(terms)).T.tolist()
+        return terms, [(rnd, rkl, None if rrd != rrd else rrd) for rnd, rkl, rrd in values]
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rankfair.fairopt import FeatureMatrix
+from rankfair.generator import SweepAggregate, SweepRow
 from rankfair.ingest import (
     ScoreSpec,
     SpecError,
@@ -167,6 +168,41 @@ def reference_merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
     )
     tails = [prot_idx[took_prot[t - 1] :], nonp_idx[took_nonp[t - 1] :]]
     return np.concatenate([merged, *tails])
+
+
+def reference_aggregate_sweep(rows: Sequence[SweepRow]) -> list[SweepAggregate]:
+    """Reference for the per-f means: the rows grouped by f in a dict of
+    lists, then one ``np.mean`` of a list per measure, as ``aggregate_sweep``
+    computed them before the sweep became one array."""
+    by_f: dict[float, list[SweepRow]] = {}
+    for row in rows:
+        by_f.setdefault(row.f, []).append(row)
+    out = []
+    for f in sorted(by_f):
+        group = by_f[f]
+        rrds = [r.rrd for r in group if r.rrd is not None]
+        out.append(
+            SweepAggregate(
+                f=f,
+                mean_rnd=float(np.mean([r.rnd for r in group])),
+                mean_rkl=float(np.mean([r.rkl for r in group])),
+                mean_rrd=float(np.mean(rrds)) if len(rrds) == len(group) else None,
+            )
+        )
+    return out
+
+
+def reference_write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
+    """Reference for the per-cell CSV: every row through ``csv.writer``, each
+    real with 6 decimals and a None rRD empty."""
+
+    def fmt(x):
+        return "" if x is None else f"{x:.6f}"
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["f", "seed", "rnd", "rkl", "rrd"])
+        writer.writerows([fmt(r.f), r.seed, fmt(r.rnd), fmt(r.rkl), fmt(r.rrd)] for r in rows)
 
 
 def reference_id_rank(ids: Sequence[str]) -> np.ndarray:

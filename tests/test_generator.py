@@ -7,20 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfair import cli, generator
 from rankfair.generator import (
     SweepRow,
     aggregate_sweep,
+    aggregate_values,
     generate_unfair,
     merge_order,
     random_base_ranking,
     sweep,
+    sweep_values,
     write_aggregate_csv,
     write_sweep_csv,
+    write_values_csv,
 )
 from rankfair.measures import MeasureKind, measure_from_flags
 from rankfair.ranking import Ranking
 
-from conftest import reference_merge_order
+from conftest import (
+    reference_aggregate_sweep,
+    reference_merge_order,
+    reference_write_sweep_csv,
+)
 
 
 BASE4 = Ranking(ids=("a", "b", "c", "d"), flags=[True, False, True, False])
@@ -241,6 +249,38 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_peak_memory_is_per_kernel_call(self):
+        """The call above, with the draws' merge set up once per sweep and
+        each kernel call held to the term budget, its temporaries dropped as
+        it goes."""
+        grid = [k / 10 for k in range(11)]
+        tracemalloc.start()
+        try:
+            sweep(10**5, 3 * 10**4, grid, [0, 1, 2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_cli_peak_memory_per_cell_is_its_values(self, tmp_path, monkeypatch, capsys):
+        """The CLI sweep keeps three floats per (f, seed) cell, no row object,
+        and writes its lines in blocks, so its peak grows by under 64 bytes
+        per cell."""
+        monkeypatch.setattr(generator, "_WRITE_LINES", 256, raising=False)
+        peaks = []
+        for seeds in (200, 1800):
+            args = [
+                "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.1",
+                "--seeds", str(seeds), "--out", str(tmp_path / "s.csv"),
+            ]
+            tracemalloc.start()
+            try:
+                assert cli.main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (11 * 1600) < 64
+
     def test_csv_output(self, tmp_path):
         rows = sweep(20, 16, [0.0], [1])
         path = tmp_path / "sweep.csv"
@@ -263,6 +303,69 @@ class TestSweep:
             write_sweep_csv(rows, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+# (n, n_plus, f grid, seed count, step): seed counts around numpy's pairwise
+# summation blocks (8 and 128 values) and its 8192-value buffer, an unsorted
+# grid with repeats, a majority group (rRD empty) and n <= step (every value 0)
+VALUES_CASES = {
+    **{f"seeds_{k}": (40, 12, [0.0, 0.5, 1.0], k, 10) for k in (1, 7, 8, 9, 127, 128, 129)},
+    "seeds_8193": (20, 6, [0.0, 0.3], 8193, 10),
+    "unsorted_repeats": (50, 15, [0.7, 0.0, 0.7, 1.0, 0.3], 65, 7),
+    "majority": (50, 35, [0.0, 0.5, 1.0], 9, 10),
+    "short": (8, 3, [0.0, 0.25, 0.5, 0.75, 1.0], 5, 10),
+}
+
+
+class TestSweepValues:
+    @pytest.mark.parametrize("case", sorted(VALUES_CASES))
+    def test_means_and_cells_equal_references(self, case, tmp_path):
+        """The per-f means equal, bit for bit, the dict-of-lists means of the
+        rows, and the per-cell CSV equals the ``csv.writer`` one byte for
+        byte, from the array and from the rows alike."""
+        n, n_plus, grid, k, step = VALUES_CASES[case]
+        values = sweep_values(n, n_plus, grid, range(k), step)
+        rows = sweep(n, n_plus, grid, range(k), step)
+        assert values.shape == (len(grid), 3, k) and values.flags.c_contiguous
+        want = repr(reference_aggregate_sweep(rows))
+        assert repr(aggregate_values(grid, values)) == want
+        assert repr(aggregate_sweep(rows)) == want
+        reference_write_sweep_csv(rows, tmp_path / "reference.csv")
+        write_values_csv(grid, range(k), values, tmp_path / "values.csv")
+        write_sweep_csv(rows, tmp_path / "rows.csv")
+        expected = (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "values.csv").read_bytes() == expected
+        assert (tmp_path / "rows.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("lines", [1, 7, 36, 2**16])
+    def test_cells_written_in_blocks_equal_reference(self, lines, tmp_path, monkeypatch):
+        monkeypatch.setattr(generator, "_WRITE_LINES", lines)
+        grid, seeds = [0.7, 0.0, 0.7, 1.0], [5, 3, 11, 2, 8, 0, 1, 9, 4]
+        values = sweep_values(50, 15, grid, seeds)
+        reference_write_sweep_csv(sweep(50, 15, grid, seeds), tmp_path / "reference.csv")
+        write_values_csv(grid, seeds, values, tmp_path / "values.csv")
+        assert (tmp_path / "values.csv").read_bytes() == (
+            (tmp_path / "reference.csv").read_bytes()
+        )
+
+    @pytest.mark.parametrize("budget,rows", [(2**16, 11), (250, 2), (99, 1), (1, 1)])
+    def test_kernel_calls_hold_the_term_budget(self, budget, rows, monkeypatch):
+        """Each seed's 11 x 100 counts are measured in calls of as many rows
+        as the term budget holds (at least one), with the values of one call."""
+        grid = [k / 10 for k in range(11)]
+        want = sweep_values(1000, 300, grid, [3, 4])
+        shapes = []
+        kernel = generator._discounted_terms
+
+        def counted(cutoffs, counts, *args):
+            shapes.append(counts.shape)
+            return kernel(cutoffs, counts, *args)
+
+        monkeypatch.setattr(generator, "_KERNEL_TERMS", budget)
+        monkeypatch.setattr(generator, "_discounted_terms", counted)
+        assert sweep_values(1000, 300, grid, [3, 4]).tobytes() == want.tobytes()
+        per_seed = [min(rows, 11 - j) for j in range(0, 11, rows)]
+        assert shapes == [(r, 100) for r in per_seed] * 2
 
 
 def test_monotone_protected_share_in_top_100():

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rankfair.measures import (
     FairnessReport,
     MeasureKind,
     RrdInapplicableError,
+    Scale,
     fairness_report,
     measure_from_flags,
     normalizer,
@@ -424,6 +426,27 @@ class TestReportMatchesReference:
             if 2 * n_plus <= n:
                 assert t_rrd[j] == parity_term(MeasureKind.RRD, i, c, n, n_plus) / disc
         assert rep == reference_fairness_report(rk, step)
+
+
+class TestKernelMemory:
+    @pytest.mark.parametrize("rows", [1, 11])
+    def test_measure_peaks_below_ten_count_sized_arrays(self, rows):
+        """``Scale.measure`` on (rows, 10**4) counts of n = 10**5 peaks below
+        ten float64 arrays of the counts' shape: the kernel writes each
+        measure into one output and drops each temporary once read."""
+        n = 10**5
+        scale = Scale.of(n, 3 * 10**4)
+        rng = np.random.default_rng(0)
+        counts = np.stack(
+            [np.cumsum(rng.random(n) < 0.3)[scale.cutoffs - 1] for _ in range(rows)]
+        )
+        tracemalloc.start()
+        try:
+            scale.measure(counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * counts.size * 8
 
 
 class TestWithinGroupShuffle:
