@@ -36,12 +36,11 @@ import numpy as np
 from .measures import Scale
 from .ranking import (
     Ranking,
-    fmt,
+    _write_table,
     id_rank,
     open_atomic,
     rank_by_score,
     rank_order,
-    write_csv,
 )
 
 
@@ -360,12 +359,11 @@ def train(
 
 
 def write_trace_csv(traces: Sequence[TraceRecord], path: str | Path) -> None:
-    write_csv(
-        path,
-        ["iter", "L", "L_x", "L_y", "L_z", "rnd", "rkl", "rrd", "score_diff"],
-        # the record's fields are in the header's order
-        ([t.iteration, *map(fmt, astuple(t)[1:])] for t in traces),
-    )
+    """Write one line per trace record, its fields in the header's order:
+    reals ``%f`` and a None rRD (column index 7) empty."""
+    row, blank = "%s,%f,%f,%f,%f,%f,%f,%f,%f\n", "%s,%f,%f,%f,%f,%f,%f,%.0s,%f\n"
+    columns = list(zip(*map(astuple, traces)))
+    _write_table(path, "iter,L,L_x,L_y,L_z,rnd,rkl,rrd,score_diff\n", row, columns, blank, 7)
 
 
 def save_model(

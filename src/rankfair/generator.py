@@ -17,9 +17,9 @@ on its last, contiguous axis, and rRD NaN where it does not apply; no object
 is made per (f, seed) cell. Each seed's counts are measured in kernel calls
 of at most 2**16 terms, so the kernel's memory is bounded at any n. The per-f
 means take one ``np.mean`` per distinct f over a contiguous block of its
-cells, and the per-cell CSV is formatted from the array in blocks of at most
-2**16 lines. ``sweep``, ``aggregate_sweep`` and ``write_sweep_csv`` run the
-same routines for one ``SweepRow`` per cell.
+cells, and the per-cell CSV is formatted from the array a block of lines at
+a time, by ``ranking._format_rows``. ``sweep``, ``aggregate_sweep`` and
+``write_sweep_csv`` run the same routines for one ``SweepRow`` per cell.
 
 The RNG is numpy's default PCG64 generator, so outputs are reproducible
 across platforms for a given seed.
@@ -28,13 +28,14 @@ across platforms for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .measures import Scale, _discounted_terms, _row_sums, feasible_band
-from .ranking import Ranking, fmt, open_atomic, write_csv
+from .ranking import Ranking, _write_table
 
 
 def _check_probability(f: float) -> None:
@@ -99,7 +100,8 @@ def generate_unfair(base: Ranking, f: float, seed: int) -> Ranking:
     reorders two items of the same group."""
     _check_probability(f)
     order = merge_order(base.flags, f, seed)
-    return Ranking(
+    # a permutation of checked ids, so not checked again
+    return Ranking._trusted(
         ids=[base.ids[i] for i in order.tolist()],
         flags=base.flags[order],
         scores=None if base.scores is None else base.scores[order],
@@ -111,7 +113,7 @@ def random_base_ranking(n: int, n_plus: int, seed: int) -> Ranking:
     Protected ids are p1..p{n_plus}, the rest q1..q{n - n_plus}."""
     _check_counts(n, n_plus)
     perm = np.random.default_rng(seed).permutation(n)
-    return Ranking(
+    return Ranking._trusted(
         ids=[f"p{k + 1}" if k < n_plus else f"q{k - n_plus + 1}" for k in perm.tolist()],
         flags=perm < n_plus,
     )
@@ -130,9 +132,6 @@ class SweepRow:
 # seed's 11 f values take one call, and at n = 10**6 each call takes one f
 # row, so the kernel's working memory stays bounded at any n.
 _KERNEL_TERMS = 2**16
-# The most per-cell lines formatted, joined and written at once.
-_WRITE_LINES = 2**16
-_CELL = "{:.6f},{},{:.6f},{:.6f},{}\n".format
 
 
 def sweep_values(
@@ -227,21 +226,16 @@ def write_values_csv(
     f_grid: Sequence[float], seeds: Sequence[int], values: np.ndarray, path: str | Path
 ) -> None:
     """Write the per-cell CSV of a ``sweep_values`` array: header
-    ``f,seed,rnd,rkl,rrd``, one line per (f, seed), f outer, reals as
-    ``fmt`` writes them and a NaN rRD empty. ``seeds`` holds the seeds of the
-    last axis, or one seed per cell as an array of shape (len(f_grid), 1).
-    Lines are formatted from the columns and written ``_WRITE_LINES`` at a
-    time, through ``open_atomic``."""
-    f = np.asarray(f_grid, dtype=float)
-    seeds = np.broadcast_to(np.asarray(seeds), values[:, 0].shape)
-    with open_atomic(path) as fh:
-        fh.write("f,seed,rnd,rkl,rrd\n")
-        for start in range(0, seeds.size, _WRITE_LINES):
-            cells = np.arange(start, min(start + _WRITE_LINES, seeds.size))
-            j, k = np.divmod(cells, values.shape[-1])
-            rnd, rkl, rrd = values[j, :, k].T.tolist()
-            rrd = ["" if x != x else f"{x:.6f}" for x in rrd]
-            fh.write("".join(map(_CELL, f[j].tolist(), seeds[j, k].tolist(), rnd, rkl, rrd)))
+    ``f,seed,rnd,rkl,rrd``, one line per (f, seed), f outer, reals ``%f``
+    and a NaN rRD empty. ``seeds`` holds the seeds of the last axis, or one
+    seed per cell as an array of shape (len(f_grid), 1). The lines are
+    formatted a block at a time by ``ranking._format_rows``, from flat views
+    of the (f, seed) grid that copy one block at a time."""
+    cells = values[:, 0].shape
+    f = np.broadcast_to(np.asarray(f_grid, dtype=float)[:, None], cells)
+    seeds = np.broadcast_to(np.asarray(seeds), cells)
+    columns = [grid.flat for grid in (f, seeds, *values.transpose(1, 0, 2))]
+    _write_table(path, "f,seed,rnd,rkl,rrd\n", "%f,%s,%f,%f,%f\n", columns, "%f,%s,%f,%f,%.0s\n")
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
@@ -250,8 +244,8 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
 
 
 def write_aggregate_csv(aggs: Sequence[SweepAggregate], path: str | Path) -> None:
-    write_csv(
-        path,
-        ["f", "rnd", "rkl", "rrd"],
-        ([fmt(a.f), fmt(a.mean_rnd), fmt(a.mean_rkl), fmt(a.mean_rrd)] for a in aggs),
-    )
+    """Write the per-f means: header ``f,rnd,rkl,rrd``, reals ``%f`` and a
+    None rRD empty."""
+    fields = attrgetter("f", "mean_rnd", "mean_rkl", "mean_rrd")
+    columns = list(zip(*map(fields, aggs)))
+    _write_table(path, "f,rnd,rkl,rrd\n", "%f,%f,%f,%f\n", columns, "%f,%f,%f,%.0s\n")

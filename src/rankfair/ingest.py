@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ranking import Ranking, duplicates, open_csv, rank_by_score
+from .ranking import Ranking, _by_score, duplicates, open_csv
 
 
 class TableLoadError(ValueError):
@@ -248,5 +248,7 @@ def compute_scores(table: DatasetTable, spec: ScoreSpec) -> np.ndarray:
 def score_and_rank(
     table: DatasetTable, score_spec: ScoreSpec, protected: Sequence[bool]
 ) -> Ranking:
-    """Rank rows by descending score, ties broken by ascending row id."""
-    return rank_by_score(table.row_ids, protected, compute_scores(table, score_spec))
+    """Rank rows by descending score, ties broken by ascending row id. The row
+    ids are not checked for repeats again: ``load_table`` checked them."""
+    scores = compute_scores(table, score_spec)
+    return Ranking._trusted(*_by_score(table.row_ids, protected, scores))

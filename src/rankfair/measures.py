@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ranking import Ranking, build_schedule, fmt
+from .ranking import Ranking, _format_rows, build_schedule, fmt
 
 _TINY = np.finfo(float).tiny
 
@@ -249,18 +248,25 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     )
 
 
+# one per-cutoff row of ``report_to_json`` up to its rRD term; each row ends
+# with the separator of the next, and the last row's is cut off
+_CUTOFF_ROW = '{"i": %s, "c": %s, "term_rnd": %f, "term_rkl": %f, "term_rrd": '
+_SEPARATOR = ",\n    "
+
+
 def report_to_json(report: FairnessReport) -> str:
-    """Stable JSON serialization with 6-decimal reals."""
+    """Stable JSON serialization with 6-decimal reals; the per-cutoff rows
+    are formatted a block at a time by ``ranking._format_rows``."""
     t_rnd, t_rkl, t_rrd = report.terms
-    rows = ",\n    ".join(
-        f'{{"i": {i}, "c": {c}, "term_rnd": {a:.6f}, "term_rkl": {b:.6f}, '
-        f'"term_rrd": {fmt(r, "null")}}}'
-        for i, c, a, b, r in zip(
-            report.cutoffs, report.counts, t_rnd, t_rkl, t_rrd or repeat(None)
-        )
-    )
+    columns = [report.cutoffs, report.counts, t_rnd, t_rkl]
+    if t_rrd is None:
+        rows = list(_format_rows(_CUTOFF_ROW + "null}" + _SEPARATOR, columns))
+    else:
+        rows = list(_format_rows(_CUTOFF_ROW + "%f}" + _SEPARATOR, [*columns, t_rrd]))
+    if rows:
+        rows[-1] = rows[-1][: -len(_SEPARATOR)]
     z_rnd, z_rkl, z_rrd = report.normalizers
-    return (
+    head = (
         "{\n"
         f'  "n": {report.n},\n'
         f'  "n_plus": {report.n_plus},\n'
@@ -270,6 +276,6 @@ def report_to_json(report: FairnessReport) -> str:
         f'  "rrd": {fmt(report.rrd, "null")},\n'
         f'  "normalizers": {{"rnd": {fmt(z_rnd, "null")}, "rkl": {fmt(z_rkl, "null")}, '
         f'"rrd": {fmt(z_rrd, "null")}}},\n'
-        f'  "per_cutoff": [\n    {rows}\n  ]\n'
-        "}\n"
+        '  "per_cutoff": [\n    '
     )
+    return "".join([head, *rows, "\n  ]\n}\n"])

@@ -2,15 +2,23 @@
 reading and writing of every CSV file.
 
 A ranking is three parallel columns in rank order (ids, protected flags,
-optional scores), validated once when built and read-only after; position 1 is
-the best. Ingest and the optimizer order rows by one routine.
+optional scores), read-only once built; position 1 is the best. Its length
+and column shapes are checked whenever one is built, and its ids are checked
+for repeats where they enter: a ``Ranking`` built directly, a read ranking
+CSV, ``rank_by_score``. A ranking made from ids that cannot repeat (numbered
+or generated rows, a permutation of a checked ranking) is built by
+``Ranking._trusted``, which skips that check. Ingest and the optimizer order
+rows by one routine.
 
 Both readers open their input through ``open_csv`` and take it in blocks of
 256 rows, each transposed once into columns that are checked and typed in
 bulk; a row is looked at on its own only when a bulk check fails. Every output
 file, CSV or not, is written through ``open_atomic``: UTF-8 with LF line
-endings, put in place by a rename only once it is complete. Reals are written
-with 6 decimals, as ``fmt`` writes them.
+endings, put in place by a rename only once it is complete. Every output
+table is turned into text by ``_format_rows``: one ``%``-format call per block
+of at most ``_WRITE_ROWS`` rows, so a writer holds one block's values and text
+at a time. Reals are written by ``%f``: 6 decimals, the same text as
+``f"{x:.6f}"``, ``inf``, ``nan`` and ``-0.000000`` included.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -66,13 +74,25 @@ class Ranking:
     n_plus: int = field(init=False)
 
     def __post_init__(self):
-        ids = tuple(self.ids)
+        self._set_columns(self.ids, self.flags, self.scores, check_ids=True)
+
+    @classmethod
+    def _trusted(cls, ids: Sequence[str], flags, scores=None) -> Ranking:
+        """A ranking whose ids are known to be unique: built with every check
+        of ``Ranking(...)`` but the one for repeated ids."""
+        ranking = object.__new__(cls)
+        ranking._set_columns(ids, flags, scores, check_ids=False)
+        return ranking
+
+    def _set_columns(self, ids, flags, scores, check_ids: bool) -> None:
+        ids = tuple(ids)
         errors = [f"n < 2 (got {len(ids)})"] if len(ids) < 2 else []
-        errors += [f"duplicate id {rid!r}" for rid in duplicates(ids)]
+        if check_ids:
+            errors += [f"duplicate id {rid!r}" for rid in duplicates(ids)]
         if errors:
             raise ValidationError(errors)
-        flags = np.array(self.flags, dtype=bool)
-        scores = None if self.scores is None else np.array(self.scores, dtype=float)
+        flags = np.array(flags, dtype=bool)
+        scores = None if scores is None else np.array(scores, dtype=float)
         if flags.shape != (len(ids),) or scores is not None and scores.shape != (len(ids),):
             raise ValueError("ids, flags and scores must have one entry per item")
         for name, value in [("ids", ids), ("flags", flags), ("scores", scores)]:
@@ -99,10 +119,15 @@ def rank_order(scores: np.ndarray, id_order: np.ndarray) -> np.ndarray:
 
 
 def rank_by_score(ids: Sequence[str], flags: Sequence[bool], scores: np.ndarray) -> Ranking:
-    """The ranking of rows by descending score, ties broken by ascending id."""
+    """The ranking of rows by descending score, ties broken by ascending id;
+    the ids are checked for repeats, as by ``Ranking(...)``."""
+    return Ranking(*_by_score(ids, flags, scores))
+
+
+def _by_score(ids: Sequence[str], flags: Sequence[bool], scores: np.ndarray) -> tuple:
+    """The columns of ``rank_by_score``'s ranking, in rank order."""
     order = rank_order(scores, id_rank(ids))
-    ranked_ids = tuple(np.array(ids, dtype=object)[order])
-    return Ranking(ranked_ids, np.asarray(flags)[order], scores[order])
+    return tuple(np.array(ids, dtype=object)[order]), np.asarray(flags)[order], scores[order]
 
 
 def build_schedule(n: int, step: int = 10) -> np.ndarray:
@@ -181,22 +206,14 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows through ``open_atomic``, in the csv module's
-    default dialect with LF line endings."""
-    with open_atomic(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def fmt(x: Optional[float], missing: str = "") -> str:
     """A real with 6 decimals, or ``missing`` for None."""
     return missing if x is None else f"{x:.6f}"
 
 
-_ROW = "{},{},{:.6f}\n".format
-_ROW_NO_SCORE = "{},{},\n".format
+# The most rows formatted by one ``%`` call: a block's values and text take a
+# few hundred KB, whatever the length of the table.
+_WRITE_ROWS = 4096
 # every character that makes an id quoted
 _QUOTED_CHAR = re.compile('[,"\r\n]').search
 
@@ -207,21 +224,55 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _QUOTED_CHAR(text) else text
 
 
+def _format_rows(
+    row: str, columns: Sequence, blank: Optional[str] = None, nan_column: int = -1
+) -> Iterator[str]:
+    """The text of every row of ``columns`` (parallel and sliceable) put
+    through the ``%``-template ``row``, one ``%`` call per block of at most
+    ``_WRITE_ROWS`` rows. A block of a column that is a numpy array is
+    converted with ``tolist``, and a block of ``str`` is quoted by
+    ``_csv_cell`` where it needs to be. With ``blank``, a row whose
+    ``nan_column`` is NaN or None is put through ``blank`` instead, which
+    consumes that value with ``%.0s``."""
+    width, n = len(columns), min(map(len, columns), default=0)
+    for start in range(0, n, _WRITE_ROWS):
+        stop = min(start + _WRITE_ROWS, n)
+        block = [column[start:stop] for column in columns]
+        template = row * (stop - start)
+        if blank is not None:
+            nan = np.isnan(np.asarray(block[nan_column], dtype=float))
+            if nan.any():
+                templates = np.array([row, blank], dtype=object)
+                template = "".join(templates[nan.view(np.uint8)].tolist())
+        # the values row by row: column k fills every width-th slot from k
+        values = [None] * (width * (stop - start))
+        for k, cells in enumerate(block):
+            if isinstance(cells, np.ndarray):
+                cells = cells.tolist()
+            elif cells and isinstance(cells[0], str) and _QUOTED_CHAR("".join(cells)):
+                cells = list(map(_csv_cell, cells))
+            values[k::width] = cells
+        yield template % tuple(values)
+
+
+def _write_table(path: str | Path, header: str, *rows) -> None:
+    """Write ``header``, then the text of ``_format_rows(*rows)``, through
+    ``open_atomic``."""
+    with open_atomic(path) as fh:
+        fh.write(header)
+        fh.writelines(_format_rows(*rows))
+
+
 def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
     """Write the ranking CSV format: header ``id,protected,score``, rows in
-    rank order; a missing score is empty, and an id is quoted by
-    ``_csv_cell``. Each score is written by ``fmt``."""
-    ids: Iterable[str] = ranking.ids
-    if _QUOTED_CHAR("".join(ranking.ids)):
-        ids = map(_csv_cell, ranking.ids)
-    flags = ranking.flags.view(np.uint8).tolist()
-    scores = [math.nan] * ranking.n if ranking.scores is None else ranking.scores.tolist()
-    with open_atomic(path) as fh:
-        fh.write("id,protected,score\n")
-        fh.writelines(
-            _ROW(rid, flag, s) if s == s else _ROW_NO_SCORE(rid, flag)
-            for rid, flag, s in zip(ids, flags, scores)
-        )
+    rank order; a missing (NaN) score is empty, every other score ``%f``,
+    and an id is quoted by ``_csv_cell``. Rows are formatted and written a
+    block at a time, by ``_format_rows``."""
+    header, columns = "id,protected,score\n", [ranking.ids, ranking.flags.view(np.uint8)]
+    if ranking.scores is None:
+        _write_table(path, header, "%s,%s,\n", columns)
+    else:
+        _write_table(path, header, "%s,%s,%f\n", [*columns, ranking.scores], "%s,%s,%.0s\n")
 
 
 def read_ranking_csv(path: str | Path) -> Ranking:

@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
@@ -16,7 +17,7 @@ from rankfair.ingest import (
     TableLoadError,
     UnknownColumnError,
 )
-from rankfair.measures import DegenerateGroupError, MeasureKind, check_group
+from rankfair.measures import DegenerateGroupError, FairnessReport, MeasureKind, check_group
 from rankfair.ranking import (
     Ranking,
     RankingFormatError,
@@ -233,6 +234,38 @@ def reference_write_ranking_csv(ranking: Ranking, path) -> None:
         writer = csv.writer(lf_rows, lineterminator="\r\n")
         writer.writerow(["id", "protected", "score"])
         writer.writerows(zip(ranking.ids, ranking.flags.view(np.uint8).tolist(), scores))
+
+
+def fmt(x: Optional[float], missing: str = "") -> str:
+    """A real with 6 decimals, or ``missing`` for None."""
+    return missing if x is None else f"{x:.6f}"
+
+
+def reference_report_to_json(report: FairnessReport) -> str:
+    """Reference for ``report_to_json``: the per-row f-string serializer it
+    replaced, verbatim."""
+    t_rnd, t_rkl, t_rrd = report.terms
+    rows = ",\n    ".join(
+        f'{{"i": {i}, "c": {c}, "term_rnd": {a:.6f}, "term_rkl": {b:.6f}, '
+        f'"term_rrd": {fmt(r, "null")}}}'
+        for i, c, a, b, r in zip(
+            report.cutoffs, report.counts, t_rnd, t_rkl, t_rrd or repeat(None)
+        )
+    )
+    z_rnd, z_rkl, z_rrd = report.normalizers
+    return (
+        "{\n"
+        f'  "n": {report.n},\n'
+        f'  "n_plus": {report.n_plus},\n'
+        f'  "step": {report.step},\n'
+        f'  "rnd": {fmt(report.rnd, "null")},\n'
+        f'  "rkl": {fmt(report.rkl, "null")},\n'
+        f'  "rrd": {fmt(report.rrd, "null")},\n'
+        f'  "normalizers": {{"rnd": {fmt(z_rnd, "null")}, "rkl": {fmt(z_rkl, "null")}, '
+        f'"rrd": {fmt(z_rrd, "null")}}},\n'
+        f'  "per_cutoff": [\n    {rows}\n  ]\n'
+        "}\n"
+    )
 
 
 # --- per-row references -------------------------------------------------------

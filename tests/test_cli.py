@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rankfair import cli, generator
+from rankfair import cli, generator, ingest, measures, ranking
 from rankfair.cli import main
 from rankfair.measures import MeasureKind, measure_from_flags
 from rankfair.ranking import write_ranking_csv
@@ -967,3 +967,69 @@ def test_main_builds_the_parser_once(monkeypatch, segregated_csv, capsys):
     finally:
         cli.build_parser.cache_clear()
     assert len(built) == 1
+
+
+# argv per command, with how many times it checks a 30-row id column for
+# repeats: ``load_table`` checks a given id column, ``read_ranking_csv`` the
+# ranking it reads, and ``apply_model`` the ranking of its estimated scores.
+# Numbered rows, generated ids and rankings made from checked ids are not
+# checked again.
+ID_CHECKS = {
+    "generate": (0, ["generate", "--n", "30", "--n-plus", "9", "--f", "0.3", "--out", "g.csv"]),
+    "rank": (0, ["rank", "{data}", "--score-col", "income", "--out", "r.csv"]),
+    "rank_id_col": (1, ["rank", "{data}", "--id-col", "id", "--score-col", "income", "--out", "r.csv"]),
+    "measure": (1, ["measure", "ranked.csv", "--out", "m.json"]),
+    "optimize_id_col": (2, [
+        "optimize", "{data}", "--id-col", "id", "--score-sum", "income", "debt",
+        "--k", "3", "--iters", "2", "--trace-out", "t.csv", "--model-out", "m.json",
+        "--ranking-out", "o.csv",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_CHECKS))
+def test_ids_are_checked_for_repeats_where_they_enter(
+    case, dataset_csv, tmp_path, monkeypatch, capsys
+):
+    checks, argv = ID_CHECKS[case]
+    flags = [j % 3 == 0 for j in range(30)]
+    write_ranking_csv(ranking_from_flags(flags), tmp_path / "ranked.csv")
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def counted(ids, _real=ranking.duplicates):
+        if len(ids) == 30:  # an id column, not the dataset's header
+            calls.append(ids)
+        return _real(ids)
+
+    monkeypatch.setattr(ranking, "duplicates", counted)
+    monkeypatch.setattr(ingest, "duplicates", counted)
+    protected = ["--protected-col", "age", "--protected-less-than", "25"]
+    argv = [dataset_csv if arg == "{data}" else arg for arg in argv]
+    assert main(argv + (protected if argv[0] in ("rank", "optimize") else [])) == 0
+    assert len(calls) == checks
+
+
+def test_audit_time_stays_in_the_traced_layers(dataset_csv, tmp_path, monkeypatch, capsys):
+    """``rank --id-col`` then ``measure`` call each function that the
+    benchmark traces for the audit path once, through the module attribute
+    that ``cli`` reads, so a refactor cannot move their time elsewhere."""
+    calls = {}
+    names = [
+        (ingest, "load_table"), (ingest, "score_and_rank"),
+        (ranking, "write_ranking_csv"), (ranking, "read_ranking_csv"),
+        (measures, "fairness_report"), (measures, "report_to_json"),
+    ]
+    for module, name in names:
+        def counted(*args, _real=getattr(module, name), _key=name, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    ranked = str(tmp_path / "ranked.csv")
+    assert main([
+        "rank", dataset_csv, "--id-col", "id", "--protected-col", "age",
+        "--protected-less-than", "25", "--score-col", "income", "--out", ranked,
+    ]) == 0
+    assert main(["measure", ranked, "--out", str(tmp_path / "m.json")]) == 0
+    assert calls == {name: 1 for _, name in names}

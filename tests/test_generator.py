@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfair import cli, generator
+from rankfair import cli, generator, ranking
 from rankfair.generator import (
     SweepRow,
     aggregate_sweep,
@@ -266,7 +266,7 @@ class TestSweep:
         """The CLI sweep keeps three floats per (f, seed) cell, no row object,
         and writes its lines in blocks, so its peak grows by under 64 bytes
         per cell."""
-        monkeypatch.setattr(generator, "_WRITE_LINES", 256, raising=False)
+        monkeypatch.setattr(ranking, "_WRITE_ROWS", 256)
         peaks = []
         for seeds in (200, 1800):
             args = [
@@ -313,6 +313,8 @@ VALUES_CASES = {
     "seeds_8193": (20, 6, [0.0, 0.3], 8193, 10),
     "unsorted_repeats": (50, 15, [0.7, 0.0, 0.7, 1.0, 0.3], 65, 7),
     "majority": (50, 35, [0.0, 0.5, 1.0], 9, 10),
+    # more cells than the writer's block, every rRD empty
+    "majority_blocks": (20, 14, [0.0, 0.5, 1.0], ranking._WRITE_ROWS // 3 + 5, 10),
     "short": (8, 3, [0.0, 0.25, 0.5, 0.75, 1.0], 5, 10),
 }
 
@@ -339,7 +341,7 @@ class TestSweepValues:
 
     @pytest.mark.parametrize("lines", [1, 7, 36, 2**16])
     def test_cells_written_in_blocks_equal_reference(self, lines, tmp_path, monkeypatch):
-        monkeypatch.setattr(generator, "_WRITE_LINES", lines)
+        monkeypatch.setattr(ranking, "_WRITE_ROWS", lines)
         grid, seeds = [0.7, 0.0, 0.7, 1.0], [5, 3, 11, 2, 8, 0, 1, 9, 4]
         values = sweep_values(50, 15, grid, seeds)
         reference_write_sweep_csv(sweep(50, 15, grid, seeds), tmp_path / "reference.csv")

@@ -21,6 +21,7 @@ from rankfair.measures import (
     _discounted_terms,
     _row_sums,
 )
+from rankfair import ranking
 from rankfair.ranking import Ranking, build_schedule
 
 from conftest import (
@@ -29,6 +30,7 @@ from conftest import (
     parity_term,
     prefix_counts,
     ranking_from_flags,
+    reference_report_to_json,
     unnormalized_sum,
 )
 
@@ -426,6 +428,30 @@ class TestReportMatchesReference:
             if 2 * n_plus <= n:
                 assert t_rrd[j] == parity_term(MeasureKind.RRD, i, c, n, n_plus) / disc
         assert rep == reference_fairness_report(rk, step)
+
+
+class TestJsonMatchesReference:
+    """``report_to_json``, which formats its per-cutoff rows a block at a
+    time, writes the text of the per-row serializer it replaced."""
+
+    @given(flags=mixed_flags(), step=st.integers(min_value=2, max_value=40))
+    @example(flags=np.array([True] * 16 + [False] * 4), step=10)  # rRD null
+    @example(flags=np.array([False, True, False]), step=3)  # n <= step
+    @example(flags=np.array([True, True, False]), step=7)  # both
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, flags, step):
+        rep = fairness_report(ranking_from_flags(flags.tolist()), step)
+        assert report_to_json(rep) == reference_report_to_json(rep)
+
+    @pytest.mark.parametrize("n_plus", [30_000, 50_000])
+    def test_rows_across_blocks_equal_reference(self, n_plus):
+        """Two blocks of cutoffs and three more, for a minority group and
+        for a majority one, whose rRD terms are null."""
+        n = 10 * (2 * ranking._WRITE_ROWS + 3)
+        flags = np.random.default_rng(1).permutation(np.arange(n) < n_plus)
+        rep = fairness_report(ranking_from_flags(flags))
+        assert len(rep.cutoffs) == 2 * ranking._WRITE_ROWS + 3
+        assert report_to_json(rep) == reference_report_to_json(rep)
 
 
 class TestKernelMemory:

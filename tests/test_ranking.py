@@ -2,6 +2,7 @@ import csv
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from rankfair.ranking import (
     duplicates,
     id_rank,
     open_atomic,
+    rank_by_score,
     rank_order,
     read_ranking_csv,
     write_ranking_csv,
@@ -127,6 +129,27 @@ class TestValidation:
             rk.flags[0] = False
         with pytest.raises(ValueError):
             rk.scores[0] = 0.0
+
+    def test_rank_by_score_checks_repeats(self):
+        """Repeats are reported in rank order, as ``Ranking(...)`` finds them."""
+        with pytest.raises(ValidationError) as exc:
+            rank_by_score(["b", "a", "b", "a"], [True, False, True, False], np.arange(4.0))
+        assert exc.value.errors == ["duplicate id 'a'", "duplicate id 'b'"]
+
+    def test_trusted_skips_only_the_repeat_check(self):
+        """``Ranking._trusted``, for ids known to be unique, keeps every other
+        check of ``Ranking(...)``, with the same errors."""
+        rk = Ranking._trusted(("a", "a", "b"), [True, False, True], [2.0, 1.0, 0.0])
+        assert (rk.ids, rk.n, rk.n_plus) == (("a", "a", "b"), 3, 2)
+        with pytest.raises(ValueError):
+            rk.flags[0] = False
+        with pytest.raises(ValueError):
+            rk.scores[0] = 0.0
+        with pytest.raises(ValidationError) as exc:
+            Ranking._trusted(("a",), [True])
+        assert exc.value.errors == ["n < 2 (got 1)"]
+        with pytest.raises(ValueError, match="one entry per item"):
+            Ranking._trusted(("a", "b"), [True, False], [1.0])
 
 
 class TestCsv:
@@ -397,6 +420,66 @@ class TestWriterMatchesCsvWriter:
             write_ranking_csv(rk, got)
             reference_write_ranking_csv(rk, want)
             assert got.read_bytes() == want.read_bytes()
+
+
+WRITE_BLOCK = ranking._WRITE_ROWS
+# reals whose 6-decimal text is easy to get wrong: signed zero and infinity,
+# the smallest subnormal, a halfway case, a long integer part
+SPECIAL_SCORES = [np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 5e-7, 2.5e-6, 1e300, -1e300]
+
+
+def block_case(case: str) -> Ranking:
+    """A ranking of two writer blocks and three more rows."""
+    n = 2 * WRITE_BLOCK + 3
+    ids = [f"r{j}" for j in range(n)]
+    flags = np.arange(n) % 3 == 0
+    scores = np.linspace(1.0, 0.0, n)
+    if case == "nan_runs":  # runs across both block boundaries, one to the end
+        scores[[0, 17]] = np.nan
+        scores[WRITE_BLOCK - 5 : WRITE_BLOCK + 5] = np.nan
+        scores[2 * WRITE_BLOCK - 1 :] = np.nan
+    elif case == "all_nan":
+        scores[:] = np.nan
+    elif case == "no_scores":
+        scores = None
+    elif case == "specials":  # every special value in every block, and at its edges
+        scores[:: 7] = np.resize(SPECIAL_SCORES, scores[::7].size)
+        for edge in (WRITE_BLOCK - 1, WRITE_BLOCK, 2 * WRITE_BLOCK - 1, 2 * WRITE_BLOCK):
+            scores[edge] = SPECIAL_SCORES[edge % len(SPECIAL_SCORES)]
+    elif case == "quoted_ids":  # quoted ids in the middle block only
+        for j, text in enumerate(['a,b', '"q"', "c\rd", "e\nf", 'g"",h']):
+            ids[WRITE_BLOCK + 100 * j] = f"{text}{j}"
+    return Ranking(ids, flags, scores)
+
+
+class TestWriterBlocks:
+    @pytest.mark.parametrize(
+        "case", ["nan_runs", "all_nan", "no_scores", "specials", "quoted_ids"]
+    )
+    def test_bytes_equal_reference(self, case, tmp_path):
+        """Rows across the writer's block boundaries are written as the
+        per-row ``csv.writer`` reference writes them."""
+        rk = block_case(case)
+        write_ranking_csv(rk, tmp_path / "got.csv")
+        reference_write_ranking_csv(rk, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_scores", [True, False])
+    def test_peak_memory_is_one_block(self, tmp_path, with_scores):
+        """``write_ranking_csv`` holds one block's values and text at a time,
+        never a whole column of Python objects, so 2 * 10**5 rows peak below
+        2 MB."""
+        n = 2 * 10**5
+        rng = np.random.default_rng(0)
+        scores = rng.random(n) if with_scores else None
+        rk = Ranking([f"r{j}" for j in range(n)], rng.random(n) < 0.3, scores)
+        tracemalloc.start()
+        try:
+            write_ranking_csv(rk, tmp_path / "r.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestWrittenIdsReadBack:
