@@ -21,12 +21,11 @@ from .measures import (
     report_to_json,
 )
 from .generator import (
-    SweepRow,
-    aggregate_sweep,
+    aggregate_values,
     generate_unfair,
     merge_order,
     random_base_ranking,
-    sweep,
+    sweep_values,
 )
 from .fairopt import (
     DivergenceError,

@@ -347,7 +347,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, fairopt.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # a size beyond the index range (OverflowError) cannot be allocated either
         print(f"error: out of memory: {args.command}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -345,9 +345,10 @@ def train(
         if not math.isfinite(total):
             raise DivergenceError(it)
         flags = features.protected[rank_order(fwd.y_hat, id_order)]
-        _, [values] = scale.measure(scale.counts(flags))
+        rnd, rkl, rrd = scale.measure(scale.counts(flags))[:, 0].tolist()
+        rrd = None if rrd != rrd else rrd
         score_diff = accuracy_score_diff(features.y, fwd.y_hat)
-        traces.append(TraceRecord(it, total, *fwd.losses, *values, score_diff))
+        traces.append(TraceRecord(it, total, *fwd.losses, rnd, rkl, rrd, score_diff))
         if hyper.early_stop_rel_tol > 0 and len(traces) > 1:
             prev = traces[-2].total
             if abs(prev - total) <= hyper.early_stop_rel_tol * max(abs(prev), 1e-12):

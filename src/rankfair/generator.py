@@ -12,14 +12,13 @@ is the running count of draws below f, clipped to ``feasible_band`` at k,
 since once a group runs out the other fills every later step. The band's
 edges are the segregated rankings that the normalizer evaluates.
 
-A sweep is one float array of shape (f values, 3 measures, seeds), the seeds
-on its last, contiguous axis, and rRD NaN where it does not apply; no object
-is made per (f, seed) cell. Each seed's counts are measured in kernel calls
-of at most 2**16 terms, so the kernel's memory is bounded at any n. The per-f
+A sweep's result is one float array of shape (f values, 3 measures, seeds),
+the seeds on its last, contiguous axis, and rRD NaN where it does not apply;
+no object is made per (f, seed) cell. Each seed's counts are measured by one
+``Scale.measure`` call, which bounds the kernel's memory at any n. The per-f
 means take one ``np.mean`` per distinct f over a contiguous block of its
 cells, and the per-cell CSV is formatted from the array a block of lines at
-a time, by ``ranking._format_rows``. ``sweep``, ``aggregate_sweep`` and
-``write_sweep_csv`` run the same routines for one ``SweepRow`` per cell.
+a time, by ``ranking._format_rows``.
 
 The RNG is numpy's default PCG64 generator, so outputs are reproducible
 across platforms for a given seed.
@@ -34,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import Scale, _discounted_terms, _row_sums, feasible_band
+from .measures import Scale, feasible_band
 from .ranking import Ranking, _write_table
 
 
@@ -119,21 +118,6 @@ def random_base_ranking(n: int, n_plus: int, seed: int) -> Ranking:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    f: float
-    seed: int
-    rnd: float
-    rkl: float
-    rrd: Optional[float]
-
-
-# The most terms a sweep puts in one kernel call: at n = 1000 (100 cutoffs) a
-# seed's 11 f values take one call, and at n = 10**6 each call takes one f
-# row, so the kernel's working memory stays bounded at any n.
-_KERNEL_TERMS = 2**16
-
-
 def sweep_values(
     n: int, n_plus: int, f_grid: Sequence[float], seeds: Sequence[int], step: int = 10
 ) -> np.ndarray:
@@ -145,8 +129,7 @@ def sweep_values(
     The flag sequence of a biased merge does not depend on the base, so no
     base is drawn: each seed draws its n uniforms once, one histogram pass
     over them gives every f's prefix counts at the cutoffs, and the seed's
-    rows are measured on one ``measures.Scale``, in kernel calls of at most
-    ``_KERNEL_TERMS`` terms (at least one row).
+    rows are measured by one call of ``measures.Scale.measure``.
     """
     _check_counts(n, n_plus)
     for f in f_grid:
@@ -154,38 +137,11 @@ def sweep_values(
     scale = Scale.of(n, n_plus, step)
     values = np.empty((len(f_grid), 3, len(seeds)))
     merged = _merger(f_grid, scale.cutoffs, n, n_plus)
-    rows = max(1, _KERNEL_TERMS // scale.cutoffs.size)
     for k, seed in enumerate(seeds):
         counts = merged(np.random.default_rng(seed).random(n))
-        for j in range(0, counts.shape[0], rows):
-            sums = _row_sums(_discounted_terms(scale.cutoffs, counts[j : j + rows], n, n_plus))
-            values[j : j + rows, :, k] = scale.normalize(sums).T
+        values[:, :, k] = scale.measure(counts).T
         del counts  # before the next seed's merge
     return values
-
-
-def sweep(
-    n: int,
-    n_plus: int,
-    f_grid: Sequence[float],
-    seeds: Sequence[int],
-    step: int = 10,
-) -> list[SweepRow]:
-    """``sweep_values`` as one row per (f, seed), f outer. The rRD column is
-    None when the protected group is the majority."""
-    seeds, f_grid = list(seeds), list(f_grid)
-    values = sweep_values(n, n_plus, f_grid, seeds, step)
-    return [
-        SweepRow(f, seed, rnd, rkl, None if rrd != rrd else rrd)
-        for f, cells in zip(f_grid, values.transpose(0, 2, 1).tolist())
-        for seed, (rnd, rkl, rrd) in zip(seeds, cells)
-    ]
-
-
-def _row_values(rows: Sequence[SweepRow]) -> np.ndarray:
-    """The rows' measures as a (len(rows), 3, 1) array, NaN for a None rRD."""
-    cells = [(r.rnd, r.rkl, np.nan if r.rrd is None else r.rrd) for r in rows]
-    return np.array(cells, dtype=float).reshape(-1, 3, 1)
 
 
 @dataclass(frozen=True)
@@ -201,8 +157,7 @@ def aggregate_values(f_grid: Sequence[float], values: np.ndarray) -> list[SweepA
     order; the mean rRD is None where a value is NaN. Each distinct f takes
     one ``np.mean`` along the last axis of a contiguous (3, cells) block that
     pools every cell whose grid entry equals it, in grid order with the seeds
-    inner: the order of ``sweep``'s rows, so each mean is bit for bit that of
-    a list of them."""
+    inner, so each mean is bit for bit that of a list of those cells."""
     keys = np.asarray(f_grid, dtype=float)
     order = np.argsort(keys, kind="stable")
     # the first index of each run of equal f values, then the end
@@ -217,30 +172,19 @@ def aggregate_values(f_grid: Sequence[float], values: np.ndarray) -> list[SweepA
     return aggs
 
 
-def aggregate_sweep(rows: Sequence[SweepRow]) -> list[SweepAggregate]:
-    """Per-f means across seeds, in ascending f order."""
-    return aggregate_values([r.f for r in rows], _row_values(rows))
-
-
 def write_values_csv(
     f_grid: Sequence[float], seeds: Sequence[int], values: np.ndarray, path: str | Path
 ) -> None:
     """Write the per-cell CSV of a ``sweep_values`` array: header
     ``f,seed,rnd,rkl,rrd``, one line per (f, seed), f outer, reals ``%f``
-    and a NaN rRD empty. ``seeds`` holds the seeds of the last axis, or one
-    seed per cell as an array of shape (len(f_grid), 1). The lines are
-    formatted a block at a time by ``ranking._format_rows``, from flat views
-    of the (f, seed) grid that copy one block at a time."""
+    and a NaN rRD empty; ``seeds`` holds the seeds of the last axis. The
+    lines are formatted a block at a time by ``ranking._format_rows``, from
+    flat views of the (f, seed) grid that copy one block at a time."""
     cells = values[:, 0].shape
     f = np.broadcast_to(np.asarray(f_grid, dtype=float)[:, None], cells)
     seeds = np.broadcast_to(np.asarray(seeds), cells)
     columns = [grid.flat for grid in (f, seeds, *values.transpose(1, 0, 2))]
     _write_table(path, "f,seed,rnd,rkl,rrd\n", "%f,%s,%f,%f,%f\n", columns, "%f,%s,%f,%f,%.0s\n")
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    seeds = np.array([r.seed for r in rows]).reshape(-1, 1)
-    write_values_csv([r.f for r in rows], seeds, _row_values(rows), path)
 
 
 def write_aggregate_csv(aggs: Sequence[SweepAggregate], path: str | Path) -> None:

@@ -17,8 +17,9 @@ parity term; the tests pin it exactly to each term computed from its
 definition in Python floats, with numpy's log2 (``math.log2`` differs by an
 ulp on some arguments). Every caller sums a row with ``_row_sums``, strictly
 left to right, so a ranking equal to the maximizing extreme scores exactly 1
-and no value depends on the Python version. ``Scale.normalize`` is the one
-place a sum is divided by its normalizer.
+and no value depends on the Python version. ``Scale.measure`` is the one step
+from prefix counts to measure values: kernel, row sums and the divide by each
+normalizer, in kernel calls of at most ``_KERNEL_TERMS`` terms.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -42,6 +43,11 @@ import numpy as np
 from .ranking import Ranking, _format_rows, build_schedule, fmt
 
 _TINY = np.finfo(float).tiny
+
+# The most terms in one kernel call: at n = 1000 (100 cutoffs) a sweep seed's
+# 11 f values take one call, and at n = 10**6 each call takes one row, so the
+# kernel's working memory stays bounded at any n.
+_KERNEL_TERMS = 2**16
 
 
 class DegenerateGroupError(ValueError):
@@ -170,21 +176,21 @@ class Scale(NamedTuple):
         """Prefix counts of ``flags`` (in rank order) at the cutoffs."""
         return np.cumsum(flags)[self.cutoffs - 1]
 
-    def normalize(self, sums: np.ndarray) -> np.ndarray:
-        """Discounted sums, one row per measure in ``MeasureKind`` order, each
-        over its normalizer: 0.0 where that is 0, NaN where it is None."""
+    def measure(self, counts: np.ndarray) -> np.ndarray:
+        """Rankings measured from their prefix counts at the cutoffs, one row
+        of ``counts`` per ranking: a (3, rows) array in ``MeasureKind`` order,
+        each row's ``_row_sums`` over its normalizer, 0.0 where that is 0 and
+        NaN where it is None. Each kernel call takes at most ``_KERNEL_TERMS``
+        terms (at least one row)."""
+        counts = np.atleast_2d(counts)
+        sums = np.empty((3, counts.shape[0]))
+        rows = max(1, _KERNEL_TERMS // self.cutoffs.size)
+        for j in range(0, counts.shape[0], rows):
+            sums[:, j : j + rows] = _row_sums(
+                _discounted_terms(self.cutoffs, counts[j : j + rows], self.n, self.n_plus)
+            )
         zs = np.array([np.nan if z is None else z for z in self.normalizers])[:, None]
         return np.divide(sums, zs, out=np.zeros_like(sums), where=zs != 0.0)
-
-    def measure(self, counts: np.ndarray) -> tuple[np.ndarray, list]:
-        """Rankings measured from their prefix counts at the cutoffs, one row
-        of ``counts`` per ranking, in one kernel call: the stack of every
-        row's discounted terms from ``_discounted_terms``, and per row
-        ``(rnd, rkl, rrd)`` as Python floats, each row's ``_row_sums`` as
-        ``normalize`` divides it (None for an inapplicable rRD)."""
-        terms = _discounted_terms(self.cutoffs, np.atleast_2d(counts), self.n, self.n_plus)
-        values = self.normalize(_row_sums(terms)).T.tolist()
-        return terms, [(rnd, rkl, None if rrd != rrd else rrd) for rnd, rkl, rrd in values]
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -205,8 +211,7 @@ def measure_from_flags(
     flags = np.asarray(flags, dtype=bool)
     scale = Scale.of(flags.size, int(np.count_nonzero(flags)), step, allow_majority_rrd)
     scale.normalizer(kind)  # raises RrdInapplicableError where rRD does not apply
-    _, [values] = scale.measure(scale.counts(flags))
-    return values[list(MeasureKind).index(kind)]
+    return float(scale.measure(scale.counts(flags))[list(MeasureKind).index(kind), 0])
 
 
 @dataclass(frozen=True)
@@ -232,17 +237,19 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     None (not raised) when the protected group is the majority."""
     scale = Scale.of(ranking.n, ranking.n_plus, step)
     c = scale.counts(ranking.flags)
-    terms, [values] = scale.measure(c)
+    terms = _discounted_terms(scale.cutoffs, c, ranking.n, ranking.n_plus).tolist()
+    rnd, rkl, rrd = scale.measure(c)[:, 0].tolist()
     return FairnessReport(
         ranking.n,
         ranking.n_plus,
         step,
-        *values,
+        rnd,
+        rkl,
+        None if rrd != rrd else rrd,
         cutoffs=tuple(scale.cutoffs.tolist()),
         counts=tuple(c.tolist()),
         terms=tuple(
-            None if z is None else tuple(row)
-            for row, z in zip(terms[:, 0].tolist(), scale.normalizers)
+            None if z is None else tuple(row) for row, z in zip(terms, scale.normalizers)
         ),
         normalizers=scale.normalizers,
     )

@@ -139,8 +139,9 @@ def build_schedule(n: int, step: int = 10) -> np.ndarray:
         raise ValueError(f"need at least 2 items, got n={n}")
     if step < 2:
         raise ValueError(f"step must be >= 2, got {step}")
-    cutoffs = np.arange(step, n + 1, step)
-    if not cutoffs.size or cutoffs[-1] != n:
+    # a step above n, even one beyond int64, leaves the single cutoff n
+    cutoffs = np.arange(step, n + 1, step) if step <= n else np.array([n])
+    if cutoffs[-1] != n:
         cutoffs = np.append(cutoffs, n)
     cutoffs.flags.writeable = False
     return cutoffs

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankfair.fairopt import FeatureMatrix
-from rankfair.generator import SweepAggregate, SweepRow
+from rankfair.generator import SweepAggregate
 from rankfair.ingest import (
     ScoreSpec,
     SpecError,
@@ -171,11 +171,32 @@ def reference_merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
     return np.concatenate([merged, *tails])
 
 
-def reference_aggregate_sweep(rows: Sequence[SweepRow]) -> list[SweepAggregate]:
-    """Reference for the per-f means: the rows grouped by f in a dict of
-    lists, then one ``np.mean`` of a list per measure, as ``aggregate_sweep``
-    computed them before the sweep became one array."""
-    by_f: dict[float, list[SweepRow]] = {}
+@dataclass(frozen=True)
+class SweepCell:
+    """One (f, seed) cell of a sweep, rRD None where it does not apply."""
+
+    f: float
+    seed: int
+    rnd: float
+    rkl: float
+    rrd: Optional[float]
+
+
+def sweep_cells(f_grid, seeds, values: np.ndarray) -> list[SweepCell]:
+    """The cells of a ``sweep_values`` array, f outer, seeds inner, each
+    value a Python float and a NaN rRD None."""
+    return [
+        SweepCell(f, seed, rnd, rkl, None if rrd != rrd else rrd)
+        for f, cells in zip(f_grid, values.transpose(0, 2, 1).tolist())
+        for seed, (rnd, rkl, rrd) in zip(seeds, cells)
+    ]
+
+
+def reference_aggregate_sweep(rows: Sequence[SweepCell]) -> list[SweepAggregate]:
+    """Reference for the per-f means: the cells grouped by f in a dict of
+    lists, then one ``np.mean`` of a list per measure, as the per-f means
+    were computed before the sweep became one array."""
+    by_f: dict[float, list[SweepCell]] = {}
     for row in rows:
         by_f.setdefault(row.f, []).append(row)
     out = []
@@ -193,9 +214,9 @@ def reference_aggregate_sweep(rows: Sequence[SweepRow]) -> list[SweepAggregate]:
     return out
 
 
-def reference_write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    """Reference for the per-cell CSV: every row through ``csv.writer``, each
-    real with 6 decimals and a None rRD empty."""
+def reference_write_sweep_csv(rows: Sequence[SweepCell], path) -> None:
+    """Reference for the per-cell CSV: every cell through ``csv.writer``,
+    each real with 6 decimals and a None rRD empty."""
 
     def fmt(x):
         return "" if x is None else f"{x:.6f}"

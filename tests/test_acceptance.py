@@ -24,7 +24,7 @@ from rankfair.fairopt import (
     total_loss,
     train,
 )
-from rankfair.generator import aggregate_sweep, generate_unfair, merge_order, random_base_ranking, sweep
+from rankfair.generator import aggregate_values, generate_unfair, merge_order, random_base_ranking, sweep_values
 from rankfair.ingest import ProtectedSpec, ScoreSpec, derive_protected, load_table, score_and_rank
 from rankfair.measures import (
     MeasureKind,
@@ -137,7 +137,7 @@ def test_criterion_4_sweep_minimum_and_symmetry():
         seeds = range(50)
         curves = {}
         for n_plus in (200, 500, 800):
-            aggs = aggregate_sweep(sweep(n, n_plus, f_grid, seeds))
+            aggs = aggregate_values(f_grid, sweep_values(n, n_plus, f_grid, seeds))
             curves[n_plus] = aggs
             proportion = n_plus / n
             best_f_rnd = min(aggs, key=lambda a: a.mean_rnd).f

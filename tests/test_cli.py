@@ -675,12 +675,15 @@ class TestOutOfMemory:
         "argv, patched",
         [
             (["generate", "--f", "0.5"], "random_base_ranking"),
-            (["sweep", "--f-grid", "0:1:0.5"], "sweep"),
+            (["sweep", "--f-grid", "0:1:0.5"], "sweep_values"),
         ],
         ids=["generate", "sweep"],
     )
     def test_exit_1_with_message(self, tmp_path, capsys, monkeypatch, argv, patched):
+        calls = []
+
         def out_of_memory(*args, **kwargs):
+            calls.append(args)
             raise MemoryError("Unable to allocate 7.11 PiB")
 
         monkeypatch.setattr(generator, patched, out_of_memory)
@@ -689,6 +692,61 @@ class TestOutOfMemory:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: out of memory: {argv[0]}\n"
         assert list(tmp_path.iterdir()) == []
+        # the patched function is the one the command ran out of memory in
+        assert len(calls) == 1
+
+    def test_seeds_beyond_the_index_range(self, tmp_path, capsys):
+        """A seed count that no array index can hold exits 1 as one too large
+        for memory does, before any array is allocated."""
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.5",
+            "--seeds", str(2**70), "--out", str(tmp_path / "s.csv"),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: out of memory: sweep\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStepBeyondInt64:
+    """A step of 2**70, which no int64 holds, leaves the single cutoff n, as a
+    step of n does: each command exits 0 with the same output bytes, apart
+    from the report's step."""
+
+    STEP = str(2**70)
+
+    def test_measure(self, segregated_csv, capsys):
+        texts = []
+        for step in ("20", self.STEP):
+            assert main(["measure", segregated_csv, "--step", step]) == 0
+            texts.append(capsys.readouterr().out)
+        assert '"step": 20,' in texts[0]
+        assert texts[1] == texts[0].replace('"step": 20,', f'"step": {self.STEP},')
+
+    def test_sweep(self, tmp_path):
+        for tag, step in (("n", "20"), ("big", self.STEP)):
+            args = [
+                "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.5",
+                "--seeds", "3", "--step", step, "--out", str(tmp_path / f"{tag}.csv"),
+            ]
+            assert main(args) == 0
+        for suffix in (".csv", ".agg.csv"):
+            assert (tmp_path / f"big{suffix}").read_bytes() == (
+                (tmp_path / f"n{suffix}").read_bytes()
+            )
+
+    def test_optimize(self, dataset_csv, tmp_path):
+        outputs = ("t.csv", "m.json", "r.csv")
+        for tag, step in (("n", "30"), ("big", self.STEP)):
+            (tmp_path / tag).mkdir()
+            args = [
+                arg.format(people=dataset_csv, out=tmp_path / tag)
+                for arg in [*OPTIMIZE, "--k", "3", "--step", step]
+            ]
+            assert main(args) == 0
+        for name in outputs:
+            assert (tmp_path / "big" / name).read_bytes() == (
+                (tmp_path / "n" / name).read_bytes()
+            ), name
 
 
 class TestOptimize:

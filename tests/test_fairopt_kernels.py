@@ -106,7 +106,7 @@ def frozen_train(features, hyper, step=10):
         l_x, l_y, l_z = frozen_losses(features, fwd)
         total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
         flags = features.protected[reference_rank_order(fwd.y_hat, id_ranks)]
-        _, [values] = scale.measure(np.cumsum(flags)[scale.cutoffs - 1])
+        values = [None if v != v else v for v in scale.measure(np.cumsum(flags)[scale.cutoffs - 1])[:, 0].tolist()]
         score_diff = accuracy_score_diff(features.y, fwd.y_hat)
         traces.append(TraceRecord(it, total, l_x, l_y, l_z, *values, score_diff))
         grad_v, grad_w = frozen_gradient(features, model, hyper, fwd)

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 
@@ -7,18 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfair import cli, generator, ranking
+from rankfair import cli, measures, ranking
 from rankfair.generator import (
-    SweepRow,
-    aggregate_sweep,
     aggregate_values,
     generate_unfair,
     merge_order,
     random_base_ranking,
-    sweep,
     sweep_values,
     write_aggregate_csv,
-    write_sweep_csv,
     write_values_csv,
 )
 from rankfair.measures import MeasureKind, measure_from_flags
@@ -28,6 +23,7 @@ from conftest import (
     reference_aggregate_sweep,
     reference_merge_order,
     reference_write_sweep_csv,
+    sweep_cells,
 )
 
 
@@ -39,29 +35,26 @@ def ids(ranking):
 
 
 def reference_sweep(n, n_plus, f_grid, seeds, step=10):
-    """Reference for ``sweep``: the per-cell loop it replaced, which builds a
-    random base ``Ranking`` for every (f, seed), biases it with the reference
-    merge and measures each kind with ``measure_from_flags``."""
+    """Reference for ``sweep_values``: the per-cell loop it replaced, which
+    builds a random base ``Ranking`` for every (f, seed), biases it with the
+    reference merge and measures each kind with ``measure_from_flags``, into
+    an (f, measure, seed) array whose rRD is NaN where it does not apply."""
     rrd_ok = 2 * n_plus <= n
-    rows = []
-    for f in f_grid:
-        for seed in seeds:
+    values = np.empty((len(f_grid), 3, len(seeds)))
+    for a, f in enumerate(f_grid):
+        for b, seed in enumerate(seeds):
             base = random_base_ranking(n, n_plus, seed)
             flags = base.flags[reference_merge_order(base.flags, f, seed)]
-            rows.append(
-                SweepRow(
-                    f=f,
-                    seed=seed,
-                    rnd=measure_from_flags(MeasureKind.RND, flags, step),
-                    rkl=measure_from_flags(MeasureKind.RKL, flags, step),
-                    rrd=(
-                        measure_from_flags(MeasureKind.RRD, flags, step)
-                        if rrd_ok
-                        else None
-                    ),
-                )
+            values[a, :, b] = (
+                measure_from_flags(MeasureKind.RND, flags, step),
+                measure_from_flags(MeasureKind.RKL, flags, step),
+                (
+                    measure_from_flags(MeasureKind.RRD, flags, step)
+                    if rrd_ok
+                    else np.nan
+                ),
             )
-    return rows
+    return values
 
 
 class TestGenerateUnfair:
@@ -162,29 +155,30 @@ class TestRandomBaseRanking:
 
 class TestSweep:
     def test_shape_and_extreme(self):
-        rows = sweep(20, 10, [0.0, 0.5, 1.0], [1])
+        rows = sweep_cells([0.0, 0.5, 1.0], [1], sweep_values(20, 10, [0.0, 0.5, 1.0], [1]))
         assert len(rows) == 3
         assert rows[0].f == 0.0
         assert rows[0].rnd == pytest.approx(1.0, abs=1e-9)
 
     def test_row_count(self):
-        rows = sweep(20, 5, [0.0, 0.5], [1, 2, 3])
+        rows = sweep_cells([0.0, 0.5], [1, 2, 3], sweep_values(20, 5, [0.0, 0.5], [1, 2, 3]))
         assert len(rows) == 6
 
     def test_rrd_empty_for_majority(self):
-        rows = sweep(20, 16, [0.0, 1.0], [1])
+        rows = sweep_cells([0.0, 1.0], [1], sweep_values(20, 16, [0.0, 1.0], [1]))
         assert all(r.rrd is None for r in rows)
 
     def test_aggregate(self):
-        rows = sweep(20, 5, [0.0, 1.0], [1, 2])
-        aggs = aggregate_sweep(rows)
+        values = sweep_values(20, 5, [0.0, 1.0], [1, 2])
+        rows = sweep_cells([0.0, 1.0], [1, 2], values)
+        aggs = aggregate_values([0.0, 1.0], values)
         assert [a.f for a in aggs] == [0.0, 1.0]
         assert aggs[0].mean_rnd == pytest.approx(
             np.mean([r.rnd for r in rows if r.f == 0.0])
         )
 
     def test_empty_seed_list(self):
-        assert sweep(20, 5, [0.0, 1.0], []) == []
+        assert sweep_values(20, 5, [0.0, 1.0], []).shape == (2, 3, 0)
 
     @pytest.mark.parametrize(
         "args,message",
@@ -197,11 +191,11 @@ class TestSweep:
     )
     @pytest.mark.parametrize("seeds", [[], [1]])
     def test_arguments_checked_without_seeds(self, args, message, seeds):
-        """An empty seed list returns no rows only after the same checks as
+        """An empty seed list returns no cells only after the same checks as
         one seed."""
         n, n_plus, f_grid, *step = args
         with pytest.raises(ValueError, match=re.escape(message)):
-            sweep(n, n_plus, f_grid, seeds, *step)
+            sweep_values(n, n_plus, f_grid, seeds, *step)
 
     @given(
         counts=st.integers(min_value=2, max_value=300).flatmap(
@@ -215,13 +209,15 @@ class TestSweep:
     @settings(max_examples=150, deadline=None)
     def test_equals_reference(self, counts, f_grid, seeds, step):
         n, n_plus = counts
-        assert sweep(n, n_plus, f_grid, seeds, step) == reference_sweep(
-            n, n_plus, f_grid, seeds, step
+        assert sweep_values(n, n_plus, f_grid, seeds, step).tobytes() == (
+            reference_sweep(n, n_plus, f_grid, seeds, step).tobytes()
         )
 
     def test_unsorted_grid_with_repeats_equals_reference(self):
         grid, seeds = [0.7, 0.0, 0.7, 1.0, 0.3], [0, 1, 2]
-        assert sweep(50, 15, grid, seeds, 7) == reference_sweep(50, 15, grid, seeds, 7)
+        assert sweep_values(50, 15, grid, seeds, 7).tobytes() == (
+            reference_sweep(50, 15, grid, seeds, 7).tobytes()
+        )
 
     @pytest.mark.parametrize("k", [0, 17, 39])
     def test_f_equal_to_a_draw_equals_reference(self, k):
@@ -229,8 +225,8 @@ class TestSweep:
         n, n_plus, seed = 40, 12, 5
         f = float(np.random.default_rng(seed).random(n)[k])
         grid = [0.0, f, 1.0]
-        assert sweep(n, n_plus, grid, [seed], 3) == (
-            reference_sweep(n, n_plus, grid, [seed], 3)
+        assert sweep_values(n, n_plus, grid, [seed], 3).tobytes() == (
+            reference_sweep(n, n_plus, grid, [seed], 3).tobytes()
         )
         flags = np.arange(n) < n_plus
         assert merge_order(flags, f, seed).tolist() == (
@@ -243,7 +239,7 @@ class TestSweep:
         grid = [k / 10 for k in range(11)]
         tracemalloc.start()
         try:
-            sweep(10**5, 3 * 10**4, grid, [0, 1, 2])
+            sweep_values(10**5, 3 * 10**4, grid, [0, 1, 2])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -256,7 +252,7 @@ class TestSweep:
         grid = [k / 10 for k in range(11)]
         tracemalloc.start()
         try:
-            sweep(10**5, 3 * 10**4, grid, [0, 1, 2])
+            sweep_values(10**5, 3 * 10**4, grid, [0, 1, 2])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -282,25 +278,27 @@ class TestSweep:
         assert (peaks[1] - peaks[0]) / (11 * 1600) < 64
 
     def test_csv_output(self, tmp_path):
-        rows = sweep(20, 16, [0.0], [1])
+        values = sweep_values(20, 16, [0.0], [1])
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_values_csv([0.0], [1], values, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "f,seed,rnd,rkl,rrd"
         assert lines[1].endswith(",")  # empty rrd field
         agg_path = tmp_path / "agg.csv"
-        write_aggregate_csv(aggregate_sweep(rows), agg_path)
+        write_aggregate_csv(aggregate_values([0.0], values), agg_path)
         assert agg_path.read_text().splitlines()[0] == "f,rnd,rkl,rrd"
 
-    def test_malformed_row_keeps_destination(self, tmp_path):
+    def test_malformed_row_keeps_destination(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(sweep(20, 5, [0.0], [1]), path)
+        write_values_csv([0.0], [1], sweep_values(20, 5, [0.0], [1]), path)
         before = path.read_bytes()
-        rows = sweep(20, 5, [0.0, 1.0], [1])
-        # the first row is written before the second fails to format
-        rows[1] = dataclasses.replace(rows[1], rnd="not a real")
+        values = sweep_values(20, 5, [0.0, 1.0], [1]).astype(object)
+        # one line per block: the first row is written before the second
+        # fails to format
+        monkeypatch.setattr(ranking, "_WRITE_ROWS", 1)
+        values[1, 2, 0] = "not a real"
         with pytest.raises(ValueError):
-            write_sweep_csv(rows, path)
+            write_values_csv([0.0, 1.0], [1], values, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -323,28 +321,25 @@ class TestSweepValues:
     @pytest.mark.parametrize("case", sorted(VALUES_CASES))
     def test_means_and_cells_equal_references(self, case, tmp_path):
         """The per-f means equal, bit for bit, the dict-of-lists means of the
-        rows, and the per-cell CSV equals the ``csv.writer`` one byte for
-        byte, from the array and from the rows alike."""
+        cells, and the per-cell CSV equals the ``csv.writer`` one byte for
+        byte."""
         n, n_plus, grid, k, step = VALUES_CASES[case]
         values = sweep_values(n, n_plus, grid, range(k), step)
-        rows = sweep(n, n_plus, grid, range(k), step)
+        rows = sweep_cells(grid, range(k), values)
         assert values.shape == (len(grid), 3, k) and values.flags.c_contiguous
         want = repr(reference_aggregate_sweep(rows))
         assert repr(aggregate_values(grid, values)) == want
-        assert repr(aggregate_sweep(rows)) == want
         reference_write_sweep_csv(rows, tmp_path / "reference.csv")
         write_values_csv(grid, range(k), values, tmp_path / "values.csv")
-        write_sweep_csv(rows, tmp_path / "rows.csv")
         expected = (tmp_path / "reference.csv").read_bytes()
         assert (tmp_path / "values.csv").read_bytes() == expected
-        assert (tmp_path / "rows.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("lines", [1, 7, 36, 2**16])
     def test_cells_written_in_blocks_equal_reference(self, lines, tmp_path, monkeypatch):
         monkeypatch.setattr(ranking, "_WRITE_ROWS", lines)
         grid, seeds = [0.7, 0.0, 0.7, 1.0], [5, 3, 11, 2, 8, 0, 1, 9, 4]
         values = sweep_values(50, 15, grid, seeds)
-        reference_write_sweep_csv(sweep(50, 15, grid, seeds), tmp_path / "reference.csv")
+        reference_write_sweep_csv(sweep_cells(grid, seeds, values), tmp_path / "reference.csv")
         write_values_csv(grid, seeds, values, tmp_path / "values.csv")
         assert (tmp_path / "values.csv").read_bytes() == (
             (tmp_path / "reference.csv").read_bytes()
@@ -353,21 +348,23 @@ class TestSweepValues:
     @pytest.mark.parametrize("budget,rows", [(2**16, 11), (250, 2), (99, 1), (1, 1)])
     def test_kernel_calls_hold_the_term_budget(self, budget, rows, monkeypatch):
         """Each seed's 11 x 100 counts are measured in calls of as many rows
-        as the term budget holds (at least one), with the values of one call."""
+        as the term budget holds (at least one), with the values of one call.
+        The first call is the normalizers' one, on the two segregated
+        extremes."""
         grid = [k / 10 for k in range(11)]
         want = sweep_values(1000, 300, grid, [3, 4])
         shapes = []
-        kernel = generator._discounted_terms
+        kernel = measures._discounted_terms
 
         def counted(cutoffs, counts, *args):
             shapes.append(counts.shape)
             return kernel(cutoffs, counts, *args)
 
-        monkeypatch.setattr(generator, "_KERNEL_TERMS", budget)
-        monkeypatch.setattr(generator, "_discounted_terms", counted)
+        monkeypatch.setattr(measures, "_KERNEL_TERMS", budget)
+        monkeypatch.setattr(measures, "_discounted_terms", counted)
         assert sweep_values(1000, 300, grid, [3, 4]).tobytes() == want.tobytes()
         per_seed = [min(rows, 11 - j) for j in range(0, 11, rows)]
-        assert shapes == [(r, 100) for r in per_seed] * 2
+        assert shapes == [(2, 100)] + [(r, 100) for r in per_seed] * 2
 
 
 def test_monotone_protected_share_in_top_100():

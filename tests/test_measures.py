@@ -1,7 +1,9 @@
+import ast
 import functools
 import math
 import operator
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from rankfair.measures import (
     _discounted_terms,
     _row_sums,
 )
-from rankfair import ranking
+from rankfair import measures, ranking
 from rankfair.ranking import Ranking, build_schedule
 
 from conftest import (
@@ -545,3 +547,18 @@ class TestMeasureFromFlags:
         with pytest.raises(RrdInapplicableError) as exc:
             measure_from_flags(MeasureKind.RRD, [True] * 16 + [False] * 4)
         assert str(exc.value) == message
+
+
+def test_counts_to_values_step_is_named_only_in_measures():
+    """The kernel, the left-to-right row sums and the kernel's term budget,
+    the step from prefix counts to measure values, are named in no package
+    module but ``measures.py``: not imported, defined or used elsewhere."""
+    private = {"_discounted_terms", "_row_sums", "_KERNEL_TERMS"}
+    modules = {name: set() for name in private}
+    for path in sorted(Path(measures.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            for field in ("id", "attr", "name", "asname"):
+                name = getattr(node, field, None)
+                if name in private:
+                    modules[name].add(path.name)
+    assert modules == {name: {"measures.py"} for name in private}
