@@ -37,6 +37,8 @@ def main() -> None:
     ap.add_argument("--out-dir", default="results", help="output directory")
     args = ap.parse_args()
 
+    if args.seeds < 1:
+        ap.error(f"--seeds must be >= 1, got {args.seeds}")
     if not (math.isfinite(args.grid_step) and args.grid_step > 0):
         ap.error(f"--grid-step must be a finite number above 0, got {args.grid_step}")
     try:
@@ -49,15 +51,14 @@ def main() -> None:
     seeds = range(args.seeds)
     for n_plus in args.n_plus:
         values = sweep_values(args.n, n_plus, f_grid, seeds)
-        aggs = aggregate_values(f_grid, values)
+        f, mean = aggregate_values(f_grid, values)
         cells = out_dir / f"sweep_n{args.n}_p{n_plus}.csv"
         means = out_dir / f"sweep_n{args.n}_p{n_plus}.agg.csv"
         write_values_csv(f_grid, seeds, values, cells)
-        write_aggregate_csv(aggs, means)
-        best = min(aggs, key=lambda a: a.mean_rnd)
+        write_aggregate_csv(f, mean, means)
         print(
             f"n_plus={n_plus}: wrote {cells} and {means}; "
-            f"mean rND minimized at f={best.f:g} "
+            f"mean rND minimized at f={f[mean[:, 0].argmin()]:g} "
             f"(proportion {n_plus / args.n:g})"
         )
 

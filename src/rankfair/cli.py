@@ -149,10 +149,10 @@ def cmd_sweep(args) -> int:
     f_grid = parse_f_grid(args.f_grid)
     seeds = range(args.seeds)
     values = generator.sweep_values(args.n, args.n_plus, f_grid, seeds, step=args.step)
-    aggs = generator.aggregate_values(f_grid, values)
+    f, means = generator.aggregate_values(f_grid, values)
     generator.write_values_csv(f_grid, seeds, values, args.out)
-    generator.write_aggregate_csv(aggs, agg_out)
-    print(f"wrote {args.out} ({values[:, 0].size} rows) and {agg_out} ({len(aggs)} rows)")
+    generator.write_aggregate_csv(f, means, agg_out)
+    print(f"wrote {args.out} ({values[:, 0].size} rows) and {agg_out} ({f.size} rows)")
     return EXIT_OK
 
 

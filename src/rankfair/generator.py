@@ -16,9 +16,9 @@ A sweep's result is one float array of shape (f values, 3 measures, seeds),
 the seeds on its last, contiguous axis, and rRD NaN where it does not apply;
 no object is made per (f, seed) cell. Each seed's counts are measured by one
 ``Scale.measure`` call, which bounds the kernel's memory at any n. The per-f
-means take one ``np.mean`` per distinct f over a contiguous block of its
-cells, and the per-cell CSV is formatted from the array a block of lines at
-a time, by ``ranking._format_rows``.
+means are one (distinct f, 3 measures) array, taken by one ``np.mean`` over
+the seed axis and one more per repeated f, and the per-cell CSV is formatted
+from the array a block of lines at a time, by ``ranking._format_rows``.
 
 The RNG is numpy's default PCG64 generator, so outputs are reproducible
 across platforms for a given seed.
@@ -26,10 +26,8 @@ across platforms for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +43,13 @@ def _check_probability(f: float) -> None:
 def _check_counts(n: int, n_plus: int) -> None:
     if n < 2 or not 0 <= n_plus <= n:
         raise ValueError(f"invalid counts n={n}, n_plus={n_plus}")
+    _check_floats(n)
+
+
+def _check_floats(count: int) -> None:
+    # numpy rejects an array past the index range with a ValueError of its own
+    if count * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{count} floats exceed the index range")
 
 
 def _merger(
@@ -134,6 +139,7 @@ def sweep_values(
     _check_counts(n, n_plus)
     for f in f_grid:
         _check_probability(f)
+    _check_floats(len(f_grid) * 3 * len(seeds))
     scale = Scale.of(n, n_plus, step)
     values = np.empty((len(f_grid), 3, len(seeds)))
     merged = _merger(f_grid, scale.cutoffs, n, n_plus)
@@ -144,32 +150,25 @@ def sweep_values(
     return values
 
 
-@dataclass(frozen=True)
-class SweepAggregate:
-    f: float
-    mean_rnd: float
-    mean_rkl: float
-    mean_rrd: Optional[float]
-
-
-def aggregate_values(f_grid: Sequence[float], values: np.ndarray) -> list[SweepAggregate]:
-    """Per-f means across seeds of a ``sweep_values`` array, in ascending f
-    order; the mean rRD is None where a value is NaN. Each distinct f takes
-    one ``np.mean`` along the last axis of a contiguous (3, cells) block that
-    pools every cell whose grid entry equals it, in grid order with the seeds
-    inner, so each mean is bit for bit that of a list of those cells."""
+def aggregate_values(
+    f_grid: Sequence[float], values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-f means across seeds of a ``sweep_values`` array: the distinct f
+    values, ascending, and a (len(f), 3) array of their means in
+    ``MeasureKind`` order, NaN where rRD does not apply. One ``np.mean``
+    along the last axis gives every grid entry's means, and an f that occurs
+    more than once takes one ``np.mean`` of its cells pooled in grid order,
+    seeds inner, so each mean is bit for bit that of a list of those cells."""
     keys = np.asarray(f_grid, dtype=float)
     order = np.argsort(keys, kind="stable")
     # the first index of each run of equal f values, then the end
     bounds = np.flatnonzero(np.diff(keys[order], prepend=-np.inf, append=np.inf))
-    aggs = []
-    for start, end in zip(bounds.tolist(), bounds[1:].tolist()):
-        pooled = np.concatenate(values[order[start:end]], axis=-1)
-        rnd, rkl, rrd = np.mean(pooled, axis=-1).tolist()
-        aggs.append(
-            SweepAggregate(f_grid[order[start]], rnd, rkl, None if rrd != rrd else rrd)
-        )
-    return aggs
+    firsts = order[bounds[:-1]]
+    means = np.mean(values, axis=-1)[firsts]
+    for j in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        pooled = np.concatenate(values[order[bounds[j] : bounds[j + 1]]], axis=-1)
+        means[j] = np.mean(pooled, axis=-1)
+    return keys[firsts], means
 
 
 def write_values_csv(
@@ -187,9 +186,7 @@ def write_values_csv(
     _write_table(path, "f,seed,rnd,rkl,rrd\n", "%f,%s,%f,%f,%f\n", columns, "%f,%s,%f,%f,%.0s\n")
 
 
-def write_aggregate_csv(aggs: Sequence[SweepAggregate], path: str | Path) -> None:
-    """Write the per-f means: header ``f,rnd,rkl,rrd``, reals ``%f`` and a
-    None rRD empty."""
-    fields = attrgetter("f", "mean_rnd", "mean_rkl", "mean_rrd")
-    columns = list(zip(*map(fields, aggs)))
-    _write_table(path, "f,rnd,rkl,rrd\n", "%f,%f,%f,%f\n", columns, "%f,%f,%f,%.0s\n")
+def write_aggregate_csv(f: np.ndarray, means: np.ndarray, path: str | Path) -> None:
+    """Write the per-f means of ``aggregate_values``: header
+    ``f,rnd,rkl,rrd``, reals ``%f`` and a NaN rRD empty."""
+    _write_table(path, "f,rnd,rkl,rrd\n", "%f,%f,%f,%f\n", [f, *means.T], "%f,%f,%f,%.0s\n")

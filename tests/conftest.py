@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from rankfair.fairopt import FeatureMatrix
-from rankfair.generator import SweepAggregate
 from rankfair.ingest import (
     ScoreSpec,
     SpecError,
@@ -192,26 +191,24 @@ def sweep_cells(f_grid, seeds, values: np.ndarray) -> list[SweepCell]:
     ]
 
 
-def reference_aggregate_sweep(rows: Sequence[SweepCell]) -> list[SweepAggregate]:
+def reference_aggregate_sweep(rows: Sequence[SweepCell]) -> tuple[np.ndarray, np.ndarray]:
     """Reference for the per-f means: the cells grouped by f in a dict of
     lists, then one ``np.mean`` of a list per measure, as the per-f means
-    were computed before the sweep became one array."""
+    were computed before the sweep became one array. Returns the sorted f
+    values and a (f values, 3) array of means, NaN for a missing rRD."""
     by_f: dict[float, list[SweepCell]] = {}
     for row in rows:
         by_f.setdefault(row.f, []).append(row)
-    out = []
+    means = []
     for f in sorted(by_f):
         group = by_f[f]
         rrds = [r.rrd for r in group if r.rrd is not None]
-        out.append(
-            SweepAggregate(
-                f=f,
-                mean_rnd=float(np.mean([r.rnd for r in group])),
-                mean_rkl=float(np.mean([r.rkl for r in group])),
-                mean_rrd=float(np.mean(rrds)) if len(rrds) == len(group) else None,
-            )
-        )
-    return out
+        means.append([
+            float(np.mean([r.rnd for r in group])),
+            float(np.mean([r.rkl for r in group])),
+            float(np.mean(rrds)) if len(rrds) == len(group) else np.nan,
+        ])
+    return np.array(sorted(by_f), dtype=float), np.array(means, dtype=float).reshape(-1, 3)
 
 
 def reference_write_sweep_csv(rows: Sequence[SweepCell], path) -> None:

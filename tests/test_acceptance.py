@@ -137,11 +137,11 @@ def test_criterion_4_sweep_minimum_and_symmetry():
         seeds = range(50)
         curves = {}
         for n_plus in (200, 500, 800):
-            aggs = aggregate_values(f_grid, sweep_values(n, n_plus, f_grid, seeds))
-            curves[n_plus] = aggs
+            f, means = aggregate_values(f_grid, sweep_values(n, n_plus, f_grid, seeds))
+            curves[n_plus] = means[:, 0]
             proportion = n_plus / n
-            best_f_rnd = min(aggs, key=lambda a: a.mean_rnd).f
-            best_f_rkl = min(aggs, key=lambda a: a.mean_rkl).f
+            best_f_rnd = f[np.argmin(means[:, 0])]
+            best_f_rkl = f[np.argmin(means[:, 1])]
             assert abs(best_f_rnd - proportion) <= 0.1 + 1e-9, (
                 n_plus, "rnd", best_f_rnd,
             )
@@ -150,8 +150,8 @@ def test_criterion_4_sweep_minimum_and_symmetry():
             )
         # a ranking biased toward a 20% minority mirrors one biased against
         # an 80% majority under f -> 1 - f
-        forward = [a.mean_rnd for a in curves[200]]
-        mirrored = [a.mean_rnd for a in reversed(curves[800])]
+        forward = curves[200]
+        mirrored = curves[800][::-1]
         gap = max(abs(a - b) for a, b in zip(forward, mirrored))
         assert gap <= 0.05, f"mirror gap {gap:.4f}"
 

@@ -12,7 +12,7 @@ from rankfair.cli import main
 from rankfair.measures import MeasureKind, measure_from_flags
 from rankfair.ranking import write_ranking_csv
 
-from conftest import ranking_from_flags
+from conftest import ranking_from_flags, reference_aggregate_sweep, sweep_cells
 
 
 @pytest.fixture
@@ -706,6 +706,23 @@ class TestOutOfMemory:
         assert capsys.readouterr().err == "error: out of memory: sweep\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.5", "--seeds", str(2**62)],
+            ["sweep", "--n", str(2**70), "--n-plus", "5", "--f-grid", "0:1:0.5", "--seeds", "1"],
+            ["generate", "--n", str(2**70), "--n-plus", "5", "--f", "0.5"],
+        ],
+        ids=["sweep_seeds", "sweep_n", "generate_n"],
+    )
+    def test_array_past_the_index_range(self, tmp_path, capsys, argv):
+        """An array whose bytes no index can hold, which numpy rejects with
+        its own text, exits 1 as one too large for memory does, before
+        anything is allocated."""
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {argv[0]}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStepBeyondInt64:
     """A step of 2**70, which no int64 holds, leaves the single cutoff n, as a
@@ -953,6 +970,25 @@ def test_sweep_golden_outputs(tag, tmp_path):
     assert main(["sweep", *SWEEP_GOLDEN_ARGS[tag], "--out", str(out)]) == 0
     for name in (out.name, f"sweep_{tag}.agg.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_sweep_pools_repeated_f_values(tmp_path):
+    """A grid that ``parse_f_grid`` rounds to repeated values gives one
+    line per distinct f, each the mean of every cell of that f."""
+    grid_text = "0.5:0.50000000001:1e-13"
+    out = tmp_path / "s.csv"
+    args = ["--n", "20", "--n-plus", "6", "--f-grid", grid_text, "--seeds", "2"]
+    assert main(["sweep", *args, "--out", str(out)]) == 0
+    grid = cli.parse_f_grid(grid_text)
+    cells = sweep_cells(grid, range(2), generator.sweep_values(20, 6, grid, range(2)))
+    f, means = reference_aggregate_sweep(cells)
+    want = "f,rnd,rkl,rrd\n" + "".join(
+        ",".join("" if x != x else "%f" % x for x in (g, *row)) + "\n"
+        for g, row in zip(f.tolist(), means.tolist())
+    )
+    text = (tmp_path / "s.agg.csv").read_text()
+    assert len(grid) == 10101 and text.count("\n") == 1 + 1011
+    assert text == want
 
 
 RANK_GOLDEN_ARGS = {

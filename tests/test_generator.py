@@ -171,9 +171,9 @@ class TestSweep:
     def test_aggregate(self):
         values = sweep_values(20, 5, [0.0, 1.0], [1, 2])
         rows = sweep_cells([0.0, 1.0], [1, 2], values)
-        aggs = aggregate_values([0.0, 1.0], values)
-        assert [a.f for a in aggs] == [0.0, 1.0]
-        assert aggs[0].mean_rnd == pytest.approx(
+        f, means = aggregate_values([0.0, 1.0], values)
+        assert f.tolist() == [0.0, 1.0]
+        assert means[0, 0] == pytest.approx(
             np.mean([r.rnd for r in rows if r.f == 0.0])
         )
 
@@ -258,6 +258,26 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    # under 1 MB with many seeds, and under 6 times the array's bytes with
+    # many f values
+    @pytest.mark.parametrize(
+        "shape,bound",
+        [((11, 3, 10**5), 2**20), ((10**5, 3, 1), 6 * 8 * 3 * 10**5)],
+        ids=["many_seeds", "many_f"],
+    )
+    def test_aggregate_peak_memory(self, shape, bound):
+        """The per-f means reduce the cells in place: no copy of the array, and
+        no object per f."""
+        values = np.random.default_rng(0).random(shape)
+        grid = np.linspace(0.0, 1.0, shape[0]).tolist()
+        tracemalloc.start()
+        try:
+            aggregate_values(grid, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_cli_peak_memory_per_cell_is_its_values(self, tmp_path, monkeypatch, capsys):
         """The CLI sweep keeps three floats per (f, seed) cell, no row object,
         and writes its lines in blocks, so its peak grows by under 64 bytes
@@ -285,7 +305,7 @@ class TestSweep:
         assert lines[0] == "f,seed,rnd,rkl,rrd"
         assert lines[1].endswith(",")  # empty rrd field
         agg_path = tmp_path / "agg.csv"
-        write_aggregate_csv(aggregate_values([0.0], values), agg_path)
+        write_aggregate_csv(*aggregate_values([0.0], values), agg_path)
         assert agg_path.read_text().splitlines()[0] == "f,rnd,rkl,rrd"
 
     def test_malformed_row_keeps_destination(self, tmp_path, monkeypatch):
@@ -327,8 +347,10 @@ class TestSweepValues:
         values = sweep_values(n, n_plus, grid, range(k), step)
         rows = sweep_cells(grid, range(k), values)
         assert values.shape == (len(grid), 3, k) and values.flags.c_contiguous
-        want = repr(reference_aggregate_sweep(rows))
-        assert repr(aggregate_values(grid, values)) == want
+        want_f, want_means = reference_aggregate_sweep(rows)
+        f, means = aggregate_values(grid, values)
+        assert means.shape == (f.size, 3)
+        assert f.tobytes() == want_f.tobytes() and means.tobytes() == want_means.tobytes()
         reference_write_sweep_csv(rows, tmp_path / "reference.csv")
         write_values_csv(grid, range(k), values, tmp_path / "values.csv")
         expected = (tmp_path / "reference.csv").read_bytes()

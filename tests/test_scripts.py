@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from rankfair.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
@@ -92,3 +94,28 @@ def test_sweep_grid_over_the_value_limit_is_a_usage_error(tmp_path):
     assert not list(tmp_path.iterdir())
     # interpreter and numpy start-up included
     assert elapsed < 10.0
+
+
+def test_sweep_zero_seeds_is_a_usage_error(tmp_path):
+    proc = run_script(
+        "sweep_synthetic.py", "--n", "40", "--n-plus", "10", "--seeds", "0",
+        "--out-dir", str(tmp_path),
+    )
+    assert proc.returncode == 2
+    assert "--seeds must be >= 1, got 0" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_script_writes_what_the_cli_writes(tmp_path):
+    proc = run_script(
+        "sweep_synthetic.py", "--n", "40", "--n-plus", "12", "--seeds", "3",
+        "--grid-step", "0.25", "--out-dir", str(tmp_path / "script"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "cli.csv"
+    argv = ["sweep", "--n", "40", "--n-plus", "12", "--f-grid", "0:1:0.25", "--seeds", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    for name, ext in (("cli.csv", ".csv"), ("cli.agg.csv", ".agg.csv")):
+        assert (tmp_path / "script" / f"sweep_n40_p12{ext}").read_bytes() == (
+            (tmp_path / name).read_bytes()
+        )
