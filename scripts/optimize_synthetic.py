@@ -12,6 +12,7 @@ before/after rankings.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,26 +63,29 @@ def main() -> None:
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
+    try:
+        features = biased_dataset(args.n, args.m, args.n_plus, args.data_seed)
+        before = score_ranking(features)
+        before_rkl = measure_from_flags(MeasureKind.RKL, before.flags)
+
+        hyper = Hyperparams(
+            a_x=args.ax,
+            a_y=args.ay,
+            a_z=args.az,
+            k=args.k,
+            learning_rate=args.lr,
+            max_iters=args.iters,
+            seed=args.seed,
+        )
+        model, traces = train(features, hyper)
+        _, after = apply_model(features, model)
+        after_rkl = measure_from_flags(MeasureKind.RKL, after.flags)
+    except ValueError as exc:
+        # a bad size or hyperparameter, reported before any file is written
+        sys.exit(f"error: {exc}")
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    features = biased_dataset(args.n, args.m, args.n_plus, args.data_seed)
-    before = score_ranking(features)
-    before_rkl = measure_from_flags(MeasureKind.RKL, before.flags)
-
-    hyper = Hyperparams(
-        a_x=args.ax,
-        a_y=args.ay,
-        a_z=args.az,
-        k=args.k,
-        learning_rate=args.lr,
-        max_iters=args.iters,
-        seed=args.seed,
-    )
-    model, traces = train(features, hyper)
-    _, after = apply_model(features, model)
-    after_rkl = measure_from_flags(MeasureKind.RKL, after.flags)
-
     write_ranking_csv(before, out_dir / "optimize_before.csv")
     write_ranking_csv(after, out_dir / "optimize_after.csv")
     write_trace_csv(traces, out_dir / "optimize_trace.csv")

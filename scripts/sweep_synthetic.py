@@ -11,6 +11,7 @@ Writes one per-cell CSV and one per-f aggregate CSV per group size.
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 from rankfair.cli import parse_f_grid
@@ -45,12 +46,16 @@ def main() -> None:
         f_grid = parse_f_grid(f"0:1:{args.grid_step}")
     except ValueError as exc:
         ap.error(f"--grid-step {args.grid_step}: {exc}")
+    seeds = range(args.seeds)
+    try:
+        # every group size is swept, and so checked, before the first write
+        sweeps = [(p, sweep_values(args.n, p, f_grid, seeds)) for p in args.n_plus]
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    seeds = range(args.seeds)
-    for n_plus in args.n_plus:
-        values = sweep_values(args.n, n_plus, f_grid, seeds)
+    for n_plus, values in sweeps:
         f, mean = aggregate_values(f_grid, values)
         cells = out_dir / f"sweep_n{args.n}_p{n_plus}.csv"
         means = out_dir / f"sweep_n{args.n}_p{n_plus}.agg.csv"

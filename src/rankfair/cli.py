@@ -4,15 +4,18 @@ Exit codes: 0 success, 1 domain error (degenerate group, missing values,
 divergence, out of memory), 2 usage error (bad flags, malformed input, unknown
 columns, an unreadable input or unwritable output path). The library's writers
 write every output file atomically, so a failed run leaves nothing partial
-behind.
+behind, and a command with several outputs checks each output path before
+it reads or computes anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -66,11 +69,21 @@ def parse_f_grid(text: str) -> list[float]:
     return grid
 
 
-def _require_distinct_outputs(*flag_paths: tuple[str, str]) -> None:
-    """A usage error when two output flags resolve to one file, since the
-    later write would replace the earlier one."""
+def _check_outputs(*flag_paths: tuple[str, str]) -> None:
+    """Before a command with several outputs reads or computes anything: the
+    OS error that writing an output would raise when it is a directory or its
+    directory is missing or not a directory, so that no output is written
+    before another fails; and a usage error when two output flags resolve to
+    one file, since the later write would replace the earlier one."""
     seen: dict[str, str] = {}
     for flag, path in flag_paths:
+        try:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         key = os.path.realpath(path)
         if key in seen:
             raise _UsageError(f"{seen[key]} and {flag} name the same file {path}")
@@ -145,7 +158,7 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
     agg_out = args.agg_out or str(Path(args.out).with_suffix(".agg.csv"))
-    _require_distinct_outputs(("--out", args.out), ("--agg-out", agg_out))
+    _check_outputs(("--out", args.out), ("--agg-out", agg_out))
     f_grid = parse_f_grid(args.f_grid)
     seeds = range(args.seeds)
     values = generator.sweep_values(args.n, args.n_plus, f_grid, seeds, step=args.step)
@@ -182,7 +195,7 @@ def cmd_rank(args) -> int:
 
 def cmd_optimize(args) -> int:
     _require_seed(args.seed)
-    _require_distinct_outputs(
+    _check_outputs(
         ("--trace-out", args.trace_out),
         ("--model-out", args.model_out),
         ("--ranking-out", args.ranking_out),

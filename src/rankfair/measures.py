@@ -21,6 +21,12 @@ and no value depends on the Python version. ``Scale.measure`` is the one step
 from prefix counts to measure values: kernel, row sums and the divide by each
 normalizer, in kernel calls of at most ``_KERNEL_TERMS`` terms.
 
+``fairness_report`` keeps its per-cutoff diagnostics as the read-only arrays
+they are computed as: the scale's cutoffs, the prefix counts, and the kernel's
+(3, cutoffs) stack of discounted terms, whose rRD row is NaN where rRD does
+not apply, as in ``Scale.measure``. No Python object is made per cutoff;
+``report_to_json`` formats the columns a block of rows at a time.
+
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
 maximum over all rankings with the given (n, n_plus) is verified, not proven:
@@ -173,8 +179,11 @@ class Scale(NamedTuple):
         return z
 
     def counts(self, flags: np.ndarray) -> np.ndarray:
-        """Prefix counts of ``flags`` (in rank order) at the cutoffs."""
-        return np.cumsum(flags)[self.cutoffs - 1]
+        """Prefix counts of ``flags`` (in rank order) at the cutoffs: the
+        running total of each span's count, so no n-long running count is
+        built."""
+        starts = np.concatenate(([0], self.cutoffs[:-1]))
+        return np.cumsum(np.add.reduceat(flags, starts, dtype=np.intp))
 
     def measure(self, counts: np.ndarray) -> np.ndarray:
         """Rankings measured from their prefix counts at the cutoffs, one row
@@ -214,11 +223,13 @@ def measure_from_flags(
     return float(scale.measure(scale.counts(flags))[list(MeasureKind).index(kind), 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairnessReport:
     """The measures of a ranking and, per cutoff in ``cutoffs``, the protected
     prefix count and each measure's discounted term (term / log2 i), as
-    columns. rRD's terms and normalizer are None for a majority group."""
+    read-only columns: ``terms`` is the kernel's (3, len(cutoffs)) output in
+    ``MeasureKind`` order. For a majority group rRD and its normalizer are
+    None and its row of ``terms`` is NaN."""
 
     n: int
     n_plus: int
@@ -226,9 +237,9 @@ class FairnessReport:
     rnd: float
     rkl: float
     rrd: Optional[float]
-    cutoffs: tuple[int, ...]
-    counts: tuple[int, ...]
-    terms: tuple[tuple[float, ...], tuple[float, ...], Optional[tuple[float, ...]]]
+    cutoffs: np.ndarray
+    counts: np.ndarray
+    terms: np.ndarray
     normalizers: tuple[float, float, Optional[float]]
 
 
@@ -236,22 +247,15 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     """All three measures plus per-cutoff diagnostics. rRD is reported as
     None (not raised) when the protected group is the majority."""
     scale = Scale.of(ranking.n, ranking.n_plus, step)
-    c = scale.counts(ranking.flags)
-    terms = _discounted_terms(scale.cutoffs, c, ranking.n, ranking.n_plus).tolist()
-    rnd, rkl, rrd = scale.measure(c)[:, 0].tolist()
+    counts = scale.counts(ranking.flags)
+    terms = _discounted_terms(scale.cutoffs, counts, ranking.n, ranking.n_plus)
+    if scale.normalizers[2] is None:
+        terms[2] = np.nan
+    rnd, rkl, rrd = scale.measure(counts)[:, 0].tolist()
+    counts.flags.writeable = terms.flags.writeable = False
     return FairnessReport(
-        ranking.n,
-        ranking.n_plus,
-        step,
-        rnd,
-        rkl,
-        None if rrd != rrd else rrd,
-        cutoffs=tuple(scale.cutoffs.tolist()),
-        counts=tuple(c.tolist()),
-        terms=tuple(
-            None if z is None else tuple(row) for row, z in zip(terms, scale.normalizers)
-        ),
-        normalizers=scale.normalizers,
+        ranking.n, ranking.n_plus, step, rnd, rkl, None if rrd != rrd else rrd,
+        scale.cutoffs, counts, terms, scale.normalizers,
     )
 
 
@@ -262,14 +266,11 @@ _SEPARATOR = ",\n    "
 
 
 def report_to_json(report: FairnessReport) -> str:
-    """Stable JSON serialization with 6-decimal reals; the per-cutoff rows
-    are formatted a block at a time by ``ranking._format_rows``."""
-    t_rnd, t_rkl, t_rrd = report.terms
-    columns = [report.cutoffs, report.counts, t_rnd, t_rkl]
-    if t_rrd is None:
-        rows = list(_format_rows(_CUTOFF_ROW + "null}" + _SEPARATOR, columns))
-    else:
-        rows = list(_format_rows(_CUTOFF_ROW + "%f}" + _SEPARATOR, [*columns, t_rrd]))
+    """Stable JSON serialization with 6-decimal reals and a NaN rRD term as
+    null; the per-cutoff rows are formatted a block at a time by
+    ``ranking._format_rows``."""
+    row, blank = (_CUTOFF_ROW + end + _SEPARATOR for end in ("%f}", "%.0snull}"))
+    rows = list(_format_rows(row, [report.cutoffs, report.counts, *report.terms], blank))
     if rows:
         rows[-1] = rows[-1][: -len(_SEPARATOR)]
     z_rnd, z_rkl, z_rrd = report.normalizers

@@ -261,13 +261,16 @@ def fmt(x: Optional[float], missing: str = "") -> str:
 
 def reference_report_to_json(report: FairnessReport) -> str:
     """Reference for ``report_to_json``: the per-row f-string serializer it
-    replaced, verbatim."""
-    t_rnd, t_rkl, t_rrd = report.terms
+    replaced, verbatim, reading the report's columns through ``tolist`` and
+    a NaN rRD row (rRD inapplicable) as None."""
+    t_rnd, t_rkl, t_rrd = report.terms.tolist()
+    t_rrd = None if all(map(math.isnan, t_rrd)) else t_rrd
     rows = ",\n    ".join(
         f'{{"i": {i}, "c": {c}, "term_rnd": {a:.6f}, "term_rkl": {b:.6f}, '
         f'"term_rrd": {fmt(r, "null")}}}'
         for i, c, a, b, r in zip(
-            report.cutoffs, report.counts, t_rnd, t_rkl, t_rrd or repeat(None)
+            report.cutoffs.tolist(), report.counts.tolist(), t_rnd, t_rkl,
+            t_rrd or repeat(None),
         )
     )
     z_rnd, z_rkl, z_rrd = report.normalizers

@@ -653,6 +653,43 @@ class TestOsErrors:
         assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOENT)}: {out}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "agg, made, code",
+        [
+            ("missing/agg.csv", None, errno.ENOENT),
+            ("file/agg.csv", "file", errno.ENOTDIR),
+            ("dir", "dir", errno.EISDIR),
+        ],
+    )
+    def test_sweep_outputs_checked_first(self, tmp_path, capsys, agg, made, code):
+        """A second output whose directory is missing or a file, or which is
+        itself a directory, fails the run before the first output is written."""
+        if made == "file":
+            (tmp_path / made).write_text("kept\n")
+        elif made == "dir":
+            (tmp_path / made).mkdir()
+        agg = tmp_path / agg
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", "--f-grid", "0:1:0.5", "--seeds", "2",
+            "--out", str(tmp_path / "ok.csv"), "--agg-out", str(agg),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(code)}: {agg}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([made] if made else [])
+
+    def test_optimize_outputs_checked_first(self, dataset_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        args = [
+            "optimize", dataset_csv, "--id-col", "id",
+            "--protected-col", "age", "--protected-less-than", "25",
+            "--score-sum", "income", "debt", "--k", "3", "--iters", "5",
+            "--trace-out", str(tmp_path / "t.csv"), "--model-out", str(tmp_path / "m.json"),
+            "--ranking-out", str(out),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOENT)}: {out}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["people.csv"]
+
     def test_directory_as_input(self, tmp_path, capsys):
         assert main(["measure", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {os.strerror(errno.EISDIR)}: {tmp_path}\n"

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import math
 import operator
@@ -80,7 +81,7 @@ def dp_max_sum(kind, n, n_plus, step):
 def reference_fairness_report(ranking, step=10):
     """Reference for ``fairness_report``: the per-cutoff loop it replaced,
     with three ``measure_from_flags`` calls, six ``normalizer`` calls and three scalar
-    ``parity_term`` calls per cutoff."""
+    ``parity_term`` calls per cutoff, its columns built as arrays."""
     n, n_plus = ranking.n, ranking.n_plus
     counts = prefix_counts(ranking, build_schedule(n, step))
 
@@ -94,9 +95,7 @@ def reference_fairness_report(ranking, step=10):
     z_rrd = normalizer(MeasureKind.RRD, n, n_plus, step) if rrd_ok else None
 
     def terms(kind):
-        return tuple(
-            parity_term(kind, i, c, n, n_plus) / float(np.log2(i)) for i, c in counts
-        )
+        return [parity_term(kind, i, c, n, n_plus) / float(np.log2(i)) for i, c in counts]
 
     return FairnessReport(
         n=n,
@@ -105,15 +104,37 @@ def reference_fairness_report(ranking, step=10):
         rnd=rnd,
         rkl=rkl,
         rrd=rrd,
-        cutoffs=tuple(i for i, _ in counts),
-        counts=tuple(c for _, c in counts),
-        terms=(
-            terms(MeasureKind.RND),
-            terms(MeasureKind.RKL),
-            terms(MeasureKind.RRD) if rrd_ok else None,
+        cutoffs=np.array([i for i, _ in counts]),
+        counts=np.array([c for _, c in counts]),
+        terms=np.array(
+            [
+                terms(MeasureKind.RND),
+                terms(MeasureKind.RKL),
+                terms(MeasureKind.RRD) if rrd_ok else [math.nan] * len(counts),
+            ]
         ),
         normalizers=(z_rnd, z_rkl, z_rrd),
     )
+
+
+def report_bits(report):
+    """The fields of ``report`` as values that ``==`` compares bit for bit:
+    arrays by dtype, shape and ``tobytes``, reals by ``float.hex``, and an
+    all-NaN rRD row of ``terms`` (rRD inapplicable) as None."""
+
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        return value
+
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    t_rnd, t_rkl, t_rrd = fields["terms"]
+    fields["terms"] = (t_rnd, t_rkl, None if np.isnan(t_rrd).all() else t_rrd)
+    return {name: bits(value) for name, value in fields.items()}
 
 
 @st.composite
@@ -386,7 +407,20 @@ class TestFairnessReport:
         assert rep.rrd is None
         assert rep.normalizers[2] is None
         assert rep.rnd is not None and rep.rkl is not None
-        assert rep.terms[2] is None
+        assert np.isnan(rep.terms[2]).all()
+
+    @pytest.mark.parametrize("n_plus", [8, 12])
+    def test_columns_are_read_only_arrays(self, n_plus):
+        """``cutoffs`` and ``counts`` are int columns and ``terms`` the
+        (3, cutoffs) float stack, for a minority group and a majority one;
+        none of them can be written."""
+        rep = fairness_report(segregated(20 - n_plus, n_plus), step=3)
+        assert rep.cutoffs.dtype.kind == rep.counts.dtype.kind == "i"
+        assert rep.cutoffs.shape == rep.counts.shape == (7,)
+        assert rep.terms.dtype == float and rep.terms.shape == (3, 7)
+        for column in (rep.cutoffs, rep.counts, rep.terms):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_per_cutoff_sums_match(self):
         rk = segregated(12, 8)
@@ -422,14 +456,14 @@ class TestReportMatchesReference:
         rk = ranking_from_flags(flags.tolist())
         rep = fairness_report(rk, step)
         n, n_plus = rep.n, rep.n_plus
-        t_rnd, t_rkl, t_rrd = rep.terms
-        for j, (i, c) in enumerate(zip(rep.cutoffs, rep.counts)):
+        t_rnd, t_rkl, t_rrd = rep.terms.tolist()
+        for j, (i, c) in enumerate(zip(rep.cutoffs.tolist(), rep.counts.tolist())):
             disc = float(np.log2(i))
             assert t_rnd[j] == parity_term(MeasureKind.RND, i, c, n, n_plus) / disc
             assert t_rkl[j] == parity_term(MeasureKind.RKL, i, c, n, n_plus) / disc
             if 2 * n_plus <= n:
                 assert t_rrd[j] == parity_term(MeasureKind.RRD, i, c, n, n_plus) / disc
-        assert rep == reference_fairness_report(rk, step)
+        assert report_bits(rep) == report_bits(reference_fairness_report(rk, step))
 
 
 class TestJsonMatchesReference:
@@ -476,6 +510,49 @@ class TestKernelMemory:
             tracemalloc.stop()
         assert peak < 10 * counts.size * 8
 
+    def test_report_peak_per_cutoff(self):
+        """``fairness_report`` at 10**5 cutoffs (2 * 10**5 items, step 2)
+        peaks below 160 bytes per cutoff: its columns stay arrays and what is
+        left is the kernel's working memory."""
+        n = 2 * 10**5
+        flags = np.random.default_rng(0).permutation(np.arange(n) < 6 * 10**4)
+        rk = Ranking._trusted([str(r) for r in range(n)], flags)
+        tracemalloc.start()
+        try:
+            fairness_report(rk, step=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * (n // 2)
+
+
+class TestScaleCounts:
+    @given(
+        flags=st.lists(st.booleans(), min_size=2, max_size=300),
+        step=st.integers(min_value=2, max_value=400),
+    )
+    @example(flags=[True, False, True, True, False], step=10)  # n < step
+    @example(flags=[True, False] * 5, step=10)  # n == step
+    @example(flags=[False, True, True] * 9, step=7)  # step does not divide n
+    @settings(max_examples=200, deadline=None)
+    def test_equal_running_count_at_cutoffs(self, flags, step):
+        flags = np.array(flags)
+        scale = Scale.of(flags.size, 1, step)
+        got, want = scale.counts(flags), np.cumsum(flags)[scale.cutoffs - 1]
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    def test_peak_memory(self):
+        """No n-long int64 running count: 10**6 flags peak under 12 MB."""
+        flags = np.random.default_rng(0).random(10**6) < 0.3
+        scale = Scale.of(flags.size, int(np.count_nonzero(flags)))
+        tracemalloc.start()
+        try:
+            scale.counts(flags)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 10**6
+
 
 class TestWithinGroupShuffle:
     @given(
@@ -493,7 +570,9 @@ class TestWithinGroupShuffle:
         order = np.arange(rk.n)
         order[pos] = np.random.default_rng(seed).permutation(pos)
         shuffled = Ranking(ids=[rk.ids[r] for r in order], flags=rk.flags[order])
-        assert fairness_report(shuffled, step) == fairness_report(rk, step)
+        assert report_bits(fairness_report(shuffled, step)) == report_bits(
+            fairness_report(rk, step)
+        )
 
 
 class TestMeasureFromFlags:

@@ -119,3 +119,29 @@ def test_sweep_script_writes_what_the_cli_writes(tmp_path):
         assert (tmp_path / "script" / f"sweep_n40_p12{ext}").read_bytes() == (
             (tmp_path / name).read_bytes()
         )
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        (
+            "sweep_synthetic.py",
+            ["--n-plus", "20", "0"],
+            "protected group size 0 of 100 is degenerate",
+        ),
+        ("sweep_synthetic.py", ["--n-plus", "150"], "invalid counts n=100, n_plus=150"),
+        ("optimize_synthetic.py", ["--n-plus", "0"], "both groups must be nonempty"),
+        ("optimize_synthetic.py", ["--n-plus", "120"], "both groups must be nonempty"),
+        ("optimize_synthetic.py", ["--n-plus", "2", "--k", "101"], "k=101 exceeds row count 100"),
+    ],
+    ids=["sweep_empty", "sweep_too_many", "optimize_empty", "optimize_too_many", "optimize_k"],
+)
+def test_bad_size_exits_1_before_writing(tmp_path, script, args, message):
+    """A bad group size or prototype count is reported as the CLI reports
+    it, with no traceback, before any file is written: a sweep checks every
+    size before it writes the first one's files."""
+    extra = ["--seeds", "2"] if script == "sweep_synthetic.py" else ["--iters", "5"]
+    proc = run_script(script, "--n", "100", *args, *extra, "--out-dir", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
