@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from rankfair.cli import report_errors
 from rankfair.fairopt import (
     FeatureMatrix,
     Hyperparams,
@@ -63,27 +64,28 @@ def main() -> None:
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
-    try:
-        features = biased_dataset(args.n, args.m, args.n_plus, args.data_seed)
-        before = score_ranking(features)
-        before_rkl = measure_from_flags(MeasureKind.RKL, before.flags)
+    sys.exit(report_errors(ap.prog, train_and_write, args))
 
-        hyper = Hyperparams(
-            a_x=args.ax,
-            a_y=args.ay,
-            a_z=args.az,
-            k=args.k,
-            learning_rate=args.lr,
-            max_iters=args.iters,
-            seed=args.seed,
-        )
-        model, traces = train(features, hyper)
-        _, after = apply_model(features, model)
-        after_rkl = measure_from_flags(MeasureKind.RKL, after.flags)
-    except ValueError as exc:
-        # a bad size or hyperparameter, reported before any file is written
-        sys.exit(f"error: {exc}")
 
+def train_and_write(args) -> int:
+    features = biased_dataset(args.n, args.m, args.n_plus, args.data_seed)
+    before = score_ranking(features)
+    before_rkl = measure_from_flags(MeasureKind.RKL, before.flags)
+
+    hyper = Hyperparams(
+        a_x=args.ax,
+        a_y=args.ay,
+        a_z=args.az,
+        k=args.k,
+        learning_rate=args.lr,
+        max_iters=args.iters,
+        seed=args.seed,
+    )
+    model, traces = train(features, hyper)
+    _, after = apply_model(features, model)
+    after_rkl = measure_from_flags(MeasureKind.RKL, after.flags)
+
+    # a bad size or hyperparameter has raised above, before any file is written
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_ranking_csv(before, out_dir / "optimize_before.csv")
@@ -98,6 +100,7 @@ def main() -> None:
         f"score_diff: {first.score_diff:.4f} -> {last.score_diff:.4f}"
     )
     print(f"ranking rKL: {before_rkl:.4f} (raw score) -> {after_rkl:.4f} (learned)")
+    return 0
 
 
 if __name__ == "__main__":

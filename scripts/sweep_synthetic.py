@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from rankfair.cli import parse_f_grid
+from rankfair.cli import parse_f_grid, report_errors
 from rankfair.generator import (
     aggregate_values,
     sweep_values,
@@ -46,12 +46,13 @@ def main() -> None:
         f_grid = parse_f_grid(f"0:1:{args.grid_step}")
     except ValueError as exc:
         ap.error(f"--grid-step {args.grid_step}: {exc}")
+    sys.exit(report_errors(ap.prog, sweep_and_write, args, f_grid))
+
+
+def sweep_and_write(args, f_grid: list[float]) -> int:
     seeds = range(args.seeds)
-    try:
-        # every group size is swept, and so checked, before the first write
-        sweeps = [(p, sweep_values(args.n, p, f_grid, seeds)) for p in args.n_plus]
-    except ValueError as exc:
-        sys.exit(f"error: {exc}")
+    # every group size is swept, and so checked, before the first write
+    sweeps = [(p, sweep_values(args.n, p, f_grid, seeds)) for p in args.n_plus]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -66,6 +67,7 @@ def main() -> None:
             f"mean rND minimized at f={f[mean[:, 0].argmin()]:g} "
             f"(proportion {n_plus / args.n:g})"
         )
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -95,20 +95,6 @@ def _require_seed(seed: int) -> None:
         raise _UsageError(f"--seed must be >= 0, got {seed}")
 
 
-def _protected_spec(args) -> ingest.ProtectedSpec:
-    if args.protected_equals is not None:
-        return ingest.ProtectedSpec.equals(args.protected_col, args.protected_equals)
-    return ingest.ProtectedSpec.less_than(
-        args.protected_col, args.protected_less_than
-    )
-
-
-def _score_spec(args) -> ingest.ScoreSpec:
-    if args.score_col is not None:
-        return ingest.ScoreSpec.single_attribute(args.score_col)
-    return ingest.ScoreSpec.equal_weight_sum(args.score_sum)
-
-
 def cmd_measure(args) -> int:
     rk = ranking.read_ranking_csv(args.ranking_csv)
     report = measures.fairness_report(rk, step=args.step)
@@ -175,14 +161,17 @@ def _load_ranked_dataset(args):
         row_id_column=args.id_col,
         drop_incomplete_rows=args.drop_incomplete_rows,
     )
-    protected, proportion = ingest.derive_protected(table, _protected_spec(args))
+    protected, proportion = ingest.derive_protected(
+        table, args.protected_col, args.protected_equals, args.protected_less_than
+    )
     measures.check_group(protected.size, int(np.count_nonzero(protected)))
-    return table, protected, proportion
+    scores = ingest.compute_scores(table, args.score_col, args.score_sum or ())
+    return table, protected, proportion, scores
 
 
 def cmd_rank(args) -> int:
-    table, protected, proportion = _load_ranked_dataset(args)
-    rk = ingest.score_and_rank(table, _score_spec(args), protected)
+    table, protected, proportion, scores = _load_ranked_dataset(args)
+    rk = ingest.score_and_rank(table, scores, protected)
     ranking.write_ranking_csv(rk, args.out)
     if table.dropped_rows:
         print(f"dropped {len(table.dropped_rows)} incomplete rows")
@@ -200,10 +189,8 @@ def cmd_optimize(args) -> int:
         ("--model-out", args.model_out),
         ("--ranking-out", args.ranking_out),
     )
-    table, protected, proportion = _load_ranked_dataset(args)
-    score_spec = _score_spec(args)
-    scores = ingest.compute_scores(table, score_spec)
-    feature_cols = args.features or list(score_spec.columns)
+    table, protected, _, scores = _load_ranked_dataset(args)
+    feature_cols = args.features or args.score_sum or [args.score_col]
     for name in feature_cols:
         if table.is_numeric(name):
             ingest.require_finite(table, name)
@@ -346,10 +333,12 @@ _USAGE_ERRORS = (
 )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def report_errors(name: str, run: Callable[..., int], *args) -> int:
+    """``run(*args)``'s exit code, or the exit code of the error it raises,
+    printed as one ``error:`` line; a size that cannot be allocated is
+    reported as out of memory in ``name``."""
     try:
-        return args.func(args)
+        return run(*args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -362,8 +351,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DOMAIN
     except (MemoryError, OverflowError):
         # a size beyond the index range (OverflowError) cannot be allocated either
-        print(f"error: out of memory: {args.command}", file=sys.stderr)
+        print(f"error: out of memory: {name}", file=sys.stderr)
         return EXIT_DOMAIN
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return report_errors(args.command, args.func, args)
 
 
 if __name__ == "__main__":

@@ -25,14 +25,15 @@ class TableLoadError(ValueError):
 
 
 class UnknownColumnError(KeyError):
-    """A spec references a column the table does not have."""
+    """A column name the table does not have."""
 
     def __str__(self) -> str:
         return f"unknown column {self.args[0]!r}"
 
 
 class SpecError(ValueError):
-    """A predicate or score spec does not match the column's type."""
+    """A protected-group test or score choice that is malformed or does not
+    match the column's type."""
 
 
 @dataclass(frozen=True)
@@ -58,35 +59,6 @@ class DatasetTable:
                 f"min-max normalization needs a numeric column, {name!r} is not"
             )
         return minmax_normalize(self.column(name))
-
-
-@dataclass(frozen=True)
-class ProtectedSpec:
-    column: str
-    predicate: str  # "equals" or "less_than"
-    value: object
-
-    @classmethod
-    def equals(cls, column: str, value: str) -> "ProtectedSpec":
-        return cls(column=column, predicate="equals", value=value)
-
-    @classmethod
-    def less_than(cls, column: str, threshold: float) -> "ProtectedSpec":
-        return cls(column=column, predicate="less_than", value=float(threshold))
-
-
-@dataclass(frozen=True)
-class ScoreSpec:
-    mode: str  # "single_attribute" or "equal_weight_sum"
-    columns: tuple[str, ...]
-
-    @classmethod
-    def single_attribute(cls, column: str) -> "ScoreSpec":
-        return cls(mode="single_attribute", columns=(column,))
-
-    @classmethod
-    def equal_weight_sum(cls, columns: Sequence[str]) -> "ScoreSpec":
-        return cls(mode="equal_weight_sum", columns=tuple(columns))
 
 
 def load_table(
@@ -191,26 +163,31 @@ def require_finite(table: DatasetTable, name: str) -> None:
         )
 
 
-def derive_protected(table: DatasetTable, spec: ProtectedSpec) -> tuple[np.ndarray, float]:
-    """Per-row protected flags and the protected proportion. On a numeric
-    column every value must be finite and the target must not be NaN, which
-    compares false and so would make every row nonprotected."""
-    col, target = table.column(spec.column), spec.value
-    if spec.predicate not in ("less_than", "equals"):
-        raise SpecError(f"unknown predicate {spec.predicate!r}")
-    if spec.predicate == "less_than" and not table.is_numeric(spec.column):
-        raise SpecError(f"less_than needs a numeric column, {spec.column!r} is not")
-    if table.is_numeric(spec.column):
+def derive_protected(
+    table: DatasetTable, column: str, equals: object = None, less_than: Optional[float] = None
+) -> tuple[np.ndarray, float]:
+    """Per-row protected flags and the protected proportion: a row is
+    protected when its ``column`` value equals ``equals``, or is below
+    ``less_than``; exactly one of the two is given. On a numeric column every
+    value must be finite and the target must not be NaN, which compares false
+    and so would make every row nonprotected."""
+    if (equals is None) == (less_than is None):
+        raise SpecError("give exactly one of equals and less_than")
+    predicate, target = ("equals", equals) if less_than is None else ("less_than", less_than)
+    col = table.column(column)
+    if less_than is not None and not table.is_numeric(column):
+        raise SpecError(f"less_than needs a numeric column, {column!r} is not")
+    if table.is_numeric(column):
         try:
             target = float(target)  # type: ignore[arg-type]
         except ValueError:
             raise SpecError(
-                f"equals needs a number for numeric column {spec.column!r}, got {target!r}"
+                f"{predicate} needs a number for numeric column {column!r}, got {target!r}"
             ) from None
         if np.isnan(target):
-            raise SpecError(f"{spec.predicate} target must not be NaN, got {target!r}")
-        require_finite(table, spec.column)
-    flags = col < target if spec.predicate == "less_than" else col == target
+            raise SpecError(f"{predicate} target must not be NaN, got {target!r}")
+        require_finite(table, column)
+    flags = col == target if less_than is None else col < target
     return flags, int(np.count_nonzero(flags)) / flags.size
 
 
@@ -227,28 +204,31 @@ def minmax_normalize(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def compute_scores(table: DatasetTable, spec: ScoreSpec) -> np.ndarray:
-    if spec.mode not in ("single_attribute", "equal_weight_sum"):
-        raise SpecError(f"unknown score mode {spec.mode!r}")
-    if not spec.columns or spec.mode == "single_attribute" and len(spec.columns) > 1:
-        raise SpecError(f"{spec.mode} score cannot use {len(spec.columns)} columns")
-    for name in spec.columns:
+def compute_scores(
+    table: DatasetTable, score_col: Optional[str] = None, score_sum: Sequence[str] = ()
+) -> np.ndarray:
+    """The raw ``score_col`` column, or the equal-weight mean of the min-max
+    normalized ``score_sum`` columns; exactly one of the two is given."""
+    if (score_col is None) == (not score_sum):
+        raise SpecError("give exactly one of score_col and score_sum")
+    columns = score_sum if score_col is None else [score_col]
+    for name in columns:
         if not table.is_numeric(name):
             raise SpecError(f"score column {name!r} is not numeric")
         require_finite(table, name)
-    if spec.mode == "single_attribute":
-        return table.column(spec.columns[0])
+    if score_col is not None:
+        return table.column(score_col)
     # starting from +0.0, like the per-row sum did, a -0.0 term adds up to +0.0
     total = np.zeros(len(table.row_ids))
-    for name in spec.columns:
+    for name in columns:
         total += table.normalized(name)
-    return total / len(spec.columns)
+    return total / len(columns)
 
 
 def score_and_rank(
-    table: DatasetTable, score_spec: ScoreSpec, protected: Sequence[bool]
+    table: DatasetTable, scores: np.ndarray, protected: Sequence[bool]
 ) -> Ranking:
-    """Rank rows by descending score, ties broken by ascending row id. The row
-    ids are not checked for repeats again: ``load_table`` checked them."""
-    scores = compute_scores(table, score_spec)
+    """Rank rows by descending ``scores``, as ``compute_scores`` returns them,
+    ties broken by ascending row id. The row ids are not checked for repeats
+    again: ``load_table`` checked them."""
     return Ranking._trusted(*_by_score(table.row_ids, protected, scores))

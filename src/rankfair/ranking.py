@@ -28,6 +28,7 @@ import itertools
 import math
 import os
 import re
+import stat
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -188,15 +189,18 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
     """A text file, UTF-8 with LF line endings, that replaces ``path`` only
     when the block exits without an exception. It is written as a temp file in
     ``path``'s directory and renamed over ``path``; on any exception the temp
-    file is removed. The file gets the mode that ``open(path, "w")`` gives a
-    new file: 0o666 less the umask. An OS error in creating, writing or
-    renaming the temp file is raised naming ``path``."""
+    file is removed. The file gets the mode that ``open(path, "w")`` would
+    leave: that of the file it replaces, else 0o666 less the umask. An OS
+    error in creating, writing or renaming the temp file is raised naming
+    ``path``."""
     path, tmp = Path(path), None
     try:
         name = os.path.join(path.parent, f"tmp{os.urandom(8).hex()}.tmp")
         fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         tmp = name
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if path.exists():
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from rankfair.fairopt import FeatureMatrix
-from rankfair.ingest import (
-    ScoreSpec,
-    SpecError,
-    TableLoadError,
-    UnknownColumnError,
-)
+from rankfair.ingest import SpecError, TableLoadError, UnknownColumnError
 from rankfair.measures import DegenerateGroupError, FairnessReport, MeasureKind, check_group
 from rankfair.ranking import (
     Ranking,
@@ -466,24 +461,30 @@ def reference_minmax_normalize(values: Sequence[float]) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def reference_compute_scores(table: ReferenceTable, spec: ScoreSpec) -> list[float]:
-    for name in spec.columns:
+def reference_compute_scores(
+    table: ReferenceTable, score_col: Optional[str] = None, score_sum: Sequence[str] = ()
+) -> list[float]:
+    columns = score_sum if score_col is None else [score_col]
+    for name in columns:
         if name not in table.data:
             raise UnknownColumnError(name)
         if not table.is_numeric(name):
             raise SpecError(f"score column {name!r} is not numeric")
         reference_require_finite(table, name)
-    if spec.mode == "single_attribute":
-        return list(table.column(spec.columns[0]))
-    normalized = [reference_minmax_normalize(table.column(c)) for c in spec.columns]
+    if score_col is not None:
+        return list(table.column(score_col))
+    normalized = [reference_minmax_normalize(table.column(c)) for c in columns]
     k = len(normalized)
     return [sum(col[r] for col in normalized) / k for r in range(table.n_rows)]
 
 
 def reference_score_and_rank(
-    table: ReferenceTable, score_spec: ScoreSpec, protected: Sequence[bool]
+    table: ReferenceTable,
+    score_col: Optional[str],
+    score_sum: Sequence[str],
+    protected: Sequence[bool],
 ) -> tuple[Item, ...]:
-    scores = reference_compute_scores(table, score_spec)
+    scores = reference_compute_scores(table, score_col, score_sum)
     order = sorted(
         range(table.n_rows), key=lambda r: (-scores[r], table.row_ids[r])
     )

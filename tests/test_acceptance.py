@@ -25,7 +25,7 @@ from rankfair.fairopt import (
     train,
 )
 from rankfair.generator import aggregate_values, generate_unfair, merge_order, random_base_ranking, sweep_values
-from rankfair.ingest import ProtectedSpec, ScoreSpec, derive_protected, load_table, score_and_rank
+from rankfair.ingest import compute_scores, derive_protected, load_table, score_and_rank
 from rankfair.measures import (
     MeasureKind,
     RrdInapplicableError,
@@ -272,15 +272,9 @@ def test_criterion_9_real_data_informational():
 
         if german and os.path.exists(german):
             table = load_table(german, drop_incomplete_rows=True)
-            _, share_female = derive_protected(
-                table, ProtectedSpec.equals("sex", "female")
-            )
-            _, share_under_25 = derive_protected(
-                table, ProtectedSpec.less_than("age", 25)
-            )
-            _, share_under_35 = derive_protected(
-                table, ProtectedSpec.less_than("age", 35)
-            )
+            _, share_female = derive_protected(table, "sex", equals="female")
+            _, share_under_25 = derive_protected(table, "age", less_than=25)
+            _, share_under_35 = derive_protected(table, "age", less_than=35)
             assert abs(share_female - 0.69) <= 0.01, share_female
             assert abs(share_under_25 - 0.15) <= 0.01, share_under_25
             assert abs(share_under_35 - 0.55) <= 0.01, share_under_35
@@ -289,11 +283,7 @@ def test_criterion_9_real_data_informational():
             table = load_table(
                 propublica, row_id_column="id", drop_incomplete_rows=True
             )
-            flags, _ = derive_protected(
-                table, ProtectedSpec.equals("race", "African-American")
-            )
-            ranked = score_and_rank(
-                table, ScoreSpec.single_attribute("decile_score"), flags
-            )
+            flags, _ = derive_protected(table, "race", equals="African-American")
+            ranked = score_and_rank(table, compute_scores(table, "decile_score"), flags)
             rnd = measure_from_flags(MeasureKind.RND, ranked.flags)
             assert abs(rnd - 0.44) <= 0.05, rnd

@@ -16,8 +16,6 @@ from conftest import (
 )
 from rankfair import ingest, ranking
 from rankfair.ingest import (
-    ProtectedSpec,
-    ScoreSpec,
     SpecError,
     TableLoadError,
     UnknownColumnError,
@@ -33,6 +31,12 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def rank_by(table, flags, score_col=None, score_sum=()):
+    """``score_and_rank`` on the scores ``compute_scores`` returns, as
+    ``rankfair rank`` runs them."""
+    return score_and_rank(table, compute_scores(table, score_col, score_sum), flags)
 
 
 @pytest.fixture
@@ -260,26 +264,30 @@ class TestByteOrderMark:
 
 class TestDeriveProtected:
     def test_less_than(self, small_table):
-        flags, prop = derive_protected(
-            small_table, ProtectedSpec.less_than("age", 25)
-        )
+        flags, prop = derive_protected(small_table, "age", less_than=25)
         assert flags.tolist() == [True, False, False]
         assert prop == pytest.approx(1 / 3)
 
     def test_equals(self, small_table):
-        flags, prop = derive_protected(
-            small_table, ProtectedSpec.equals("gender", "F")
-        )
+        flags, prop = derive_protected(small_table, "gender", equals="F")
         assert flags.tolist() == [True, False, True]
         assert prop == pytest.approx(2 / 3)
 
     def test_less_than_on_categorical(self, small_table):
         with pytest.raises(SpecError):
-            derive_protected(small_table, ProtectedSpec.less_than("gender", 1))
+            derive_protected(small_table, "gender", less_than=1)
 
     def test_unknown_column(self, small_table):
         with pytest.raises(UnknownColumnError):
-            derive_protected(small_table, ProtectedSpec.equals("nope", "F"))
+            derive_protected(small_table, "nope", equals="F")
+
+    @pytest.mark.parametrize(
+        "targets", [{}, {"equals": "F", "less_than": 25}], ids=["neither", "both"]
+    )
+    def test_exactly_one_predicate(self, small_table, targets):
+        with pytest.raises(SpecError) as exc:
+            derive_protected(small_table, "age", **targets)
+        assert str(exc.value) == "give exactly one of equals and less_than"
 
 
 class TestMinmaxNormalize:
@@ -302,20 +310,18 @@ class TestMinmaxNormalize:
 
 
 class TestScoreAndRank:
-    def test_single_attribute_descending(self, tmp_path):
+    def test_single_column_descending(self, tmp_path):
         path = write_csv(tmp_path, "id,x\na,10\nb,30\nc,20\n")
         table = load_table(path, row_id_column="id")
-        flags, _ = derive_protected(table, ProtectedSpec.less_than("x", 15))
-        rk = score_and_rank(table, ScoreSpec.single_attribute("x"), flags)
+        flags, _ = derive_protected(table, "x", less_than=15)
+        rk = rank_by(table, flags, "x")
         assert rk.ids == ("b", "c", "a")
         assert rk.scores[0] == pytest.approx(30.0)
 
     def test_equal_weight_tie_break_by_id(self, tmp_path):
         path = write_csv(tmp_path, "id,x,y\na,1,0\nb,0,1\n")
         table = load_table(path, row_id_column="id")
-        rk = score_and_rank(
-            table, ScoreSpec.equal_weight_sum(["x", "y"]), [True, False]
-        )
+        rk = rank_by(table, [True, False], score_sum=["x", "y"])
         assert rk.ids == ("a", "b")
         assert rk.scores[0] == pytest.approx(0.5)
         assert rk.scores[1] == pytest.approx(0.5)
@@ -324,57 +330,40 @@ class TestScoreAndRank:
         path = write_csv(tmp_path, "id,x\na,3\nb,9\nc,6\nd,1\n")
         table = load_table(path, row_id_column="id")
         flags = [False] * 4
-        single = score_and_rank(table, ScoreSpec.single_attribute("x"), flags)
-        summed = score_and_rank(
-            table, ScoreSpec.equal_weight_sum(["x"]), flags
-        )
+        single = rank_by(table, flags, "x")
+        summed = rank_by(table, flags, score_sum=["x"])
         assert single.ids == summed.ids
 
     def test_order_invariant_to_monotone_transform(self, tmp_path):
         path = write_csv(tmp_path, "id,x,x3\na,2,8\nb,-1,-1\nc,3,27\n")
         table = load_table(path, row_id_column="id")
         flags = [False] * 3
-        by_x = score_and_rank(table, ScoreSpec.single_attribute("x"), flags)
-        by_x3 = score_and_rank(table, ScoreSpec.single_attribute("x3"), flags)
+        by_x = rank_by(table, flags, "x")
+        by_x3 = rank_by(table, flags, "x3")
         assert by_x.ids == by_x3.ids
 
     def test_deterministic(self, small_table):
-        spec = ScoreSpec.equal_weight_sum(["x", "y"])
-        a = score_and_rank(small_table, spec, [True, False, True])
-        b = score_and_rank(small_table, spec, [True, False, True])
+        a = rank_by(small_table, [True, False, True], score_sum=["x", "y"])
+        b = rank_by(small_table, [True, False, True], score_sum=["x", "y"])
         assert a.ids == b.ids
 
     def test_equal_weight_scores_in_unit_interval(self, small_table):
-        scores = compute_scores(small_table, ScoreSpec.equal_weight_sum(["age", "x"]))
+        scores = compute_scores(small_table, score_sum=["age", "x"])
         assert all(0.0 <= s <= 1.0 for s in scores)
 
     def test_categorical_score_column(self, small_table):
         with pytest.raises(SpecError):
-            compute_scores(small_table, ScoreSpec.single_attribute("gender"))
+            compute_scores(small_table, "gender")
 
     @pytest.mark.parametrize(
-        "spec, message",
-        [
-            (ScoreSpec("weighted", ("x",)), "unknown score mode 'weighted'"),
-            (
-                ScoreSpec.equal_weight_sum([]),
-                "equal_weight_sum score cannot use 0 columns",
-            ),
-            (
-                ScoreSpec("single_attribute", ("x", "y")),
-                "single_attribute score cannot use 2 columns",
-            ),
-            (
-                ScoreSpec("single_attribute", ()),
-                "single_attribute score cannot use 0 columns",
-            ),
-        ],
-        ids=["unknown_mode", "empty_sum", "two_columns", "no_column"],
+        "scores",
+        [{"score_sum": []}, {}, {"score_col": "x", "score_sum": ["y"]}],
+        ids=["empty_sum", "neither", "both"],
     )
-    def test_malformed_spec(self, small_table, spec, message):
+    def test_malformed_spec(self, small_table, scores):
         with pytest.raises(SpecError) as exc:
-            compute_scores(small_table, spec)
-        assert str(exc.value) == message
+            compute_scores(small_table, **scores)
+        assert str(exc.value) == "give exactly one of score_col and score_sum"
 
 
 class TestNonFiniteValues:
@@ -385,37 +374,37 @@ class TestNonFiniteValues:
 
     def test_single_score_column(self, table):
         with pytest.raises(TableLoadError, match="'s'.*nan.*'b'"):
-            compute_scores(table, ScoreSpec.single_attribute("s"))
+            compute_scores(table, "s")
 
     def test_summed_score_columns(self, table):
         with pytest.raises(TableLoadError, match="'t'.*-inf.*'c'"):
-            compute_scores(table, ScoreSpec.equal_weight_sum(["t", "s"]))
+            compute_scores(table, score_sum=["t", "s"])
 
     def test_less_than_column(self, table):
         with pytest.raises(TableLoadError, match="'s'.*nan.*'b'"):
-            derive_protected(table, ProtectedSpec.less_than("s", 2.5))
+            derive_protected(table, "s", less_than=2.5)
 
     def test_equals_column(self, table):
         with pytest.raises(TableLoadError, match="'s'.*nan.*'b'"):
-            derive_protected(table, ProtectedSpec.equals("s", "3"))
+            derive_protected(table, "s", equals="3")
 
     @pytest.mark.parametrize(
-        "spec",
-        [ProtectedSpec.equals("age", "nan"), ProtectedSpec.less_than("age", float("nan"))],
+        "keyword, target",
+        [("equals", "nan"), ("less_than", float("nan"))],
         ids=["equals", "less_than"],
     )
-    def test_nan_target(self, small_table, spec):
-        with pytest.raises(SpecError, match=f"{spec.predicate} target must not be NaN"):
-            derive_protected(small_table, spec)
+    def test_nan_target(self, small_table, keyword, target):
+        with pytest.raises(SpecError, match=f"{keyword} target must not be NaN"):
+            derive_protected(small_table, "age", **{keyword: target})
 
     def test_infinite_threshold_accepted(self, small_table):
-        flags, prop = derive_protected(small_table, ProtectedSpec.less_than("age", float("inf")))
+        flags, prop = derive_protected(small_table, "age", less_than=float("inf"))
         assert flags.tolist() == [True, True, True] and prop == 1.0
 
     def test_overflowing_finite_column_accepted(self, tmp_path):
         path = write_csv(tmp_path, "id,s\na,1e308\nb,1e308\nc,-1\n")
         table = load_table(path, row_id_column="id")
-        assert compute_scores(table, ScoreSpec.single_attribute("s")).tolist() == [
+        assert compute_scores(table, "s").tolist() == [
             1e308, 1e308, -1.0
         ]
 
@@ -497,14 +486,10 @@ class TestMatchesPerRowReference:
         numeric = [name for name in header if ref.is_numeric(name)]
         pool = numeric if numeric and data.draw(st.integers(0, 3)) else header
         columns = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-        spec = (
-            ScoreSpec.single_attribute(columns[0])
-            if single
-            else ScoreSpec.equal_weight_sum(columns)
-        )
+        score = (columns[0], ()) if single else (None, columns)
         flags = data.draw(st.lists(st.booleans(), min_size=ref.n_rows, max_size=ref.n_rows))
-        ref_items, ref_err = outcome(reference_score_and_rank, ref, spec, flags)
-        ranked, err = outcome(score_and_rank, table, spec, flags)
+        ref_items, ref_err = outcome(reference_score_and_rank, ref, *score, flags)
+        ranked, err = outcome(rank_by, table, flags, *score)
         assert err == ref_err
         if err is None:
             assert ranking_rows(ranked) == item_rows(ref_items)
@@ -514,8 +499,7 @@ class TestMatchesPerRowReference:
         the earlier, so the normalized "-0.0" can keep its sign; the sum must
         still give +0.0, as the per-row sum did."""
         path = write_csv(tmp_path, "id,v\na,-0.0\nb,0\nc,1\n")
-        spec = ScoreSpec.equal_weight_sum(["v"])
         flags = [True, False, True]
-        ranked = score_and_rank(load_table(path, "id"), spec, flags)
-        ref = reference_score_and_rank(reference_load_table(path, "id"), spec, flags)
+        ranked = rank_by(load_table(path, "id"), flags, score_sum=["v"])
+        ref = reference_score_and_rank(reference_load_table(path, "id"), None, ["v"], flags)
         assert ranking_rows(ranked) == item_rows(ref)

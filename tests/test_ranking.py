@@ -241,6 +241,21 @@ class TestOpenAtomic:
             os.umask(old)
         assert stat.S_IMODE(dest.stat().st_mode) == mode
 
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        """A replaced file keeps its permission bits, as ``open(path, "w")``
+        keeps them, whatever the umask."""
+        dest = tmp_path / "out.json"
+        dest.write_text("old")
+        dest.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            with open_atomic(dest) as fh:
+                fh.write("new")
+        finally:
+            os.umask(old)
+        assert dest.read_text() == "new"
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o600
+
 
 FINITE_SCORES = [" 1", "1_0", "-0.0", "", "0.5", "2"]
 SCORE_TOKENS = FINITE_SCORES + ["1e309", "nan", "x"]

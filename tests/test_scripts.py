@@ -133,15 +133,47 @@ def test_sweep_script_writes_what_the_cli_writes(tmp_path):
         ("optimize_synthetic.py", ["--n-plus", "0"], "both groups must be nonempty"),
         ("optimize_synthetic.py", ["--n-plus", "120"], "both groups must be nonempty"),
         ("optimize_synthetic.py", ["--n-plus", "2", "--k", "101"], "k=101 exceeds row count 100"),
+        (
+            "sweep_synthetic.py",
+            ["--n", "20", "--n-plus", "5", "--seeds", str(2**62)],
+            "out of memory: sweep_synthetic.py",
+        ),
+        (
+            "sweep_synthetic.py",
+            ["--n", "9" * 23, "--n-plus", "3", "--seeds", "1"],
+            "out of memory: sweep_synthetic.py",
+        ),
+        (
+            "optimize_synthetic.py",
+            ["--n", "10", "--n-plus", "3", "--k", "2", "--iters", "2", "--lr", "1e300"],
+            "non-finite loss at iteration 1",
+        ),
     ],
-    ids=["sweep_empty", "sweep_too_many", "optimize_empty", "optimize_too_many", "optimize_k"],
+    ids=[
+        "sweep_empty", "sweep_too_many", "optimize_empty", "optimize_too_many", "optimize_k",
+        "sweep_seeds_too_many", "sweep_n_too_large", "optimize_diverges",
+    ],
 )
 def test_bad_size_exits_1_before_writing(tmp_path, script, args, message):
-    """A bad group size or prototype count is reported as the CLI reports
-    it, with no traceback, before any file is written: a sweep checks every
-    size before it writes the first one's files."""
+    """A bad group size or prototype count, a size too large to allocate or
+    a diverging run is reported as the CLI reports it, with no traceback,
+    before any file is written: a sweep checks every size before it writes
+    the first one's files. Each size fails before anything is allocated."""
     extra = ["--seeds", "2"] if script == "sweep_synthetic.py" else ["--iters", "5"]
-    proc = run_script(script, "--n", "100", *args, *extra, "--out-dir", str(tmp_path))
+    # a later flag wins, so ``args`` may override ``--n`` and ``extra``
+    proc = run_script(script, "--n", "100", *extra, *args, "--out-dir", str(tmp_path))
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_out_dir_below_a_file_exits_2(tmp_path, script):
+    """An OS error is reported as the CLI reports it: exit 2 with one
+    ``error: <reason>: <path>`` line and no traceback."""
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "sub"
+    args, _ = SCRIPTS[script]
+    proc = run_script(script, *args, "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: Not a directory: {out_dir}\n"
