@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rankfair.cli import report_errors
+from rankfair.cli import check_out_dir, report_errors
 from rankfair.fairopt import (
+    TRACE_COLUMNS,
     FeatureMatrix,
     Hyperparams,
     apply_model,
@@ -68,6 +69,7 @@ def main() -> None:
 
 
 def train_and_write(args) -> int:
+    check_out_dir(args.out_dir)
     features = biased_dataset(args.n, args.m, args.n_plus, args.data_seed)
     before = score_ranking(features)
     before_rkl = measure_from_flags(MeasureKind.RKL, before.flags)
@@ -81,7 +83,7 @@ def train_and_write(args) -> int:
         max_iters=args.iters,
         seed=args.seed,
     )
-    model, traces = train(features, hyper)
+    model, trace = train(features, hyper)
     _, after = apply_model(features, model)
     after_rkl = measure_from_flags(MeasureKind.RKL, after.flags)
 
@@ -90,14 +92,14 @@ def train_and_write(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_ranking_csv(before, out_dir / "optimize_before.csv")
     write_ranking_csv(after, out_dir / "optimize_after.csv")
-    write_trace_csv(traces, out_dir / "optimize_trace.csv")
+    write_trace_csv(trace, out_dir / "optimize_trace.csv")
     save_model(model, hyper, out_dir / "optimize_model.json")
 
-    first, last = traces[0], traces[-1]
+    l_z, score_diff = (trace[:, TRACE_COLUMNS.index(c)] for c in ("L_z", "score_diff"))
     print(f"wrote trace, model, and rankings to {out_dir}/")
     print(
-        f"L_z: {first.l_z:.4f} -> {last.l_z:.4f}, "
-        f"score_diff: {first.score_diff:.4f} -> {last.score_diff:.4f}"
+        f"L_z: {l_z[0]:.4f} -> {l_z[-1]:.4f}, "
+        f"score_diff: {score_diff[0]:.4f} -> {score_diff[-1]:.4f}"
     )
     print(f"ranking rKL: {before_rkl:.4f} (raw score) -> {after_rkl:.4f} (learned)")
     return 0

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from rankfair.cli import parse_f_grid, report_errors
+from rankfair.cli import check_out_dir, parse_f_grid, report_errors
 from rankfair.generator import (
     aggregate_values,
     sweep_values,
@@ -50,6 +50,7 @@ def main() -> None:
 
 
 def sweep_and_write(args, f_grid: list[float]) -> int:
+    check_out_dir(args.out_dir)
     seeds = range(args.seeds)
     # every group size is swept, and so checked, before the first write
     sweeps = [(p, sweep_values(args.n, p, f_grid, seeds)) for p in args.n_plus]

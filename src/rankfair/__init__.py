@@ -32,7 +32,7 @@ from .fairopt import (
     FeatureMatrix,
     Hyperparams,
     PrototypeModel,
-    TraceRecord,
+    TRACE_COLUMNS,
     accuracy_score_diff,
     apply_model,
     gradient,

@@ -90,6 +90,17 @@ def _check_outputs(*flag_paths: tuple[str, str]) -> None:
         seen[key] = flag
 
 
+def check_out_dir(path: str) -> None:
+    """Before a script computes anything: ``NotADirectoryError`` for
+    ``path`` unless it is a directory or its nearest existing ancestor is
+    one, so that making it later can succeed. Nothing is created."""
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _require_seed(seed: int) -> None:
     if seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {seed}")
@@ -209,15 +220,15 @@ def cmd_optimize(args) -> int:
         max_iters=args.iters,
         seed=args.seed,
     )
-    model, traces = fairopt.train(features, hyper, step=args.step)
+    model, trace = fairopt.train(features, hyper, step=args.step)
     _, ranked = fairopt.apply_model(features, model)
-    fairopt.write_trace_csv(traces, args.trace_out)
+    fairopt.write_trace_csv(trace, args.trace_out)
     fairopt.save_model(model, hyper, args.model_out)
     ranking.write_ranking_csv(ranked, args.ranking_out)
-    last = traces[-1]
+    last = dict(zip(fairopt.TRACE_COLUMNS, trace[-1].tolist()))
     print(
-        f"finished after {len(traces)} iterations: L={last.total:.6f} "
-        f"L_z={last.l_z:.6f} rkl={last.rkl:.6f} score_diff={last.score_diff:.6f}"
+        f"finished after {len(trace)} iterations: L={last['L']:.6f} "
+        f"L_z={last['L_z']:.6f} rkl={last['rkl']:.6f} score_diff={last['score_diff']:.6f}"
     )
     print(f"wrote {args.trace_out}, {args.model_out}, {args.ranking_out}")
     return EXIT_OK

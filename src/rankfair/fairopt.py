@@ -12,7 +12,7 @@ prototype assignments between the protected and nonprotected groups (L_z,
 L1 distance between group-mean assignment vectors). Training is full-batch
 gradient descent with an analytic gradient and a fixed learning rate,
 deterministic given the seed. Each iteration runs one forward pass, which
-computes the three losses once; the weighted total, the trace record and the
+computes the three losses once; the weighted total, the trace row and the
 gradient step all read them from it.
 
 The training kernels work column by column: a sum over one row's m features
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -135,17 +135,10 @@ class Hyperparams:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    iteration: int
-    total: float
-    l_x: float
-    l_y: float
-    l_z: float
-    rnd: float
-    rkl: float
-    rrd: Optional[float]
-    score_diff: float
+# the columns of ``train``'s trace: the weighted total and the three losses,
+# the trace ranking's measures (rRD NaN where it does not apply) and the mean
+# absolute score difference
+TRACE_COLUMNS = ("L", "L_x", "L_y", "L_z", "rnd", "rkl", "rrd", "score_diff")
 
 
 def _pairwise_row_sums(columns: Iterable[np.ndarray], width: int) -> np.ndarray:
@@ -323,9 +316,10 @@ def apply_model(
 
 def train(
     features: FeatureMatrix, hyper: Hyperparams, step: int = 10
-) -> tuple[PrototypeModel, list[TraceRecord]]:
+) -> tuple[PrototypeModel, np.ndarray]:
     """Full-batch gradient descent. Prototypes start at a seeded sample of K
-    distinct data rows, score weights at 0.5. One trace record per iteration,
+    distinct data rows, score weights at 0.5. The trace is a float
+    (iterations, len(TRACE_COLUMNS)) array, one row per iteration that ran,
     evaluated before that iteration's update."""
     if hyper.k > features.n:
         raise ValueError(f"k={hyper.k} exceeds row count {features.n}")
@@ -336,35 +330,37 @@ def train(
 
     id_order = id_rank(features.ids)
     scale = Scale.of(features.n, int(np.count_nonzero(features.protected)), step)
-    traces: list[TraceRecord] = []
+    # rows are collected as they run: a divergence or an early stop can end
+    # training long before max_iters
+    rows: list[tuple[float, ...]] = []
     for it in range(hyper.max_iters):
         model = PrototypeModel(prototypes=v, score_weights=w)
-        # one forward pass feeds the trace record and the gradient step
+        # one forward pass feeds the trace row and the gradient step
         fwd = _forward(features, model)
         total = _weighted_total(hyper, fwd.losses)
         if not math.isfinite(total):
             raise DivergenceError(it)
         flags = features.protected[rank_order(fwd.y_hat, id_order)]
-        rnd, rkl, rrd = scale.measure(scale.counts(flags))[:, 0].tolist()
-        rrd = None if rrd != rrd else rrd
+        measured = scale.measure(scale.counts(flags))[:, 0].tolist()
         score_diff = accuracy_score_diff(features.y, fwd.y_hat)
-        traces.append(TraceRecord(it, total, *fwd.losses, rnd, rkl, rrd, score_diff))
-        if hyper.early_stop_rel_tol > 0 and len(traces) > 1:
-            prev = traces[-2].total
+        rows.append((total, *fwd.losses, *measured, score_diff))
+        if hyper.early_stop_rel_tol > 0 and len(rows) > 1:
+            prev = rows[-2][0]
             if abs(prev - total) <= hyper.early_stop_rel_tol * max(abs(prev), 1e-12):
                 break
         grad_v, grad_w = _gradient(features, model, hyper, fwd)
         v = v - hyper.learning_rate * grad_v
         w = w - hyper.learning_rate * grad_w
-    return PrototypeModel(prototypes=v, score_weights=w), traces
+    return PrototypeModel(prototypes=v, score_weights=w), np.array(rows)
 
 
-def write_trace_csv(traces: Sequence[TraceRecord], path: str | Path) -> None:
-    """Write one line per trace record, its fields in the header's order:
-    reals ``%f`` and a None rRD (column index 7) empty."""
+def write_trace_csv(trace: np.ndarray, path: str | Path) -> None:
+    """Write one line per trace row: its iteration, then its columns in
+    ``TRACE_COLUMNS`` order, reals ``%f`` and a NaN rRD (column index 7)
+    empty."""
     row, blank = "%s,%f,%f,%f,%f,%f,%f,%f,%f\n", "%s,%f,%f,%f,%f,%f,%f,%.0s,%f\n"
-    columns = list(zip(*map(astuple, traces)))
-    _write_table(path, "iter,L,L_x,L_y,L_z,rnd,rkl,rrd,score_diff\n", row, columns, blank, 7)
+    header = ",".join(("iter", *TRACE_COLUMNS)) + "\n"
+    _write_table(path, header, row, [np.arange(len(trace)), *trace.T], blank, 7)
 
 
 def save_model(

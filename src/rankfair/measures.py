@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ranking import Ranking, _format_rows, build_schedule, fmt
+from .ranking import Ranking, _format_rows, build_schedule
 
 _TINY = np.finfo(float).tiny
 
@@ -265,6 +265,11 @@ _CUTOFF_ROW = '{"i": %s, "c": %s, "term_rnd": %f, "term_rkl": %f, "term_rrd": '
 _SEPARATOR = ",\n    "
 
 
+def _json_real(x: Optional[float]) -> str:
+    """A real with 6 decimals, or JSON's ``null`` for None."""
+    return "null" if x is None else f"{x:.6f}"
+
+
 def report_to_json(report: FairnessReport) -> str:
     """Stable JSON serialization with 6-decimal reals and a NaN rRD term as
     null; the per-cutoff rows are formatted a block at a time by
@@ -279,11 +284,11 @@ def report_to_json(report: FairnessReport) -> str:
         f'  "n": {report.n},\n'
         f'  "n_plus": {report.n_plus},\n'
         f'  "step": {report.step},\n'
-        f'  "rnd": {fmt(report.rnd, "null")},\n'
-        f'  "rkl": {fmt(report.rkl, "null")},\n'
-        f'  "rrd": {fmt(report.rrd, "null")},\n'
-        f'  "normalizers": {{"rnd": {fmt(z_rnd, "null")}, "rkl": {fmt(z_rkl, "null")}, '
-        f'"rrd": {fmt(z_rrd, "null")}}},\n'
+        f'  "rnd": {_json_real(report.rnd)},\n'
+        f'  "rkl": {_json_real(report.rkl)},\n'
+        f'  "rrd": {_json_real(report.rrd)},\n'
+        f'  "normalizers": {{"rnd": {_json_real(z_rnd)}, "rkl": {_json_real(z_rkl)}, '
+        f'"rrd": {_json_real(z_rrd)}}},\n'
         '  "per_cutoff": [\n    '
     )
     return "".join([head, *rows, "\n  ]\n}\n"])

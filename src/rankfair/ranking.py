@@ -211,11 +211,6 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def fmt(x: Optional[float], missing: str = "") -> str:
-    """A real with 6 decimals, or ``missing`` for None."""
-    return missing if x is None else f"{x:.6f}"
-
-
 # The most rows formatted by one ``%`` call: a block's values and text take a
 # few hundred KB, whatever the length of the table.
 _WRITE_ROWS = 4096

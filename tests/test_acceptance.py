@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from rankfair.fairopt import (
+    TRACE_COLUMNS,
     FeatureMatrix,
     Hyperparams,
     PrototypeModel,
@@ -242,8 +243,9 @@ def test_criterion_8_optimizer_improves_parity():
         )
         model, traces = train(features, hyper)
         assert len(traces) == 500
-        assert traces[-1].l_z <= 0.5 * traces[0].l_z, (
-            traces[0].l_z, traces[-1].l_z,
+        l_z = traces[:, TRACE_COLUMNS.index("L_z")]
+        assert l_z[-1] <= 0.5 * l_z[0], (
+            l_z[0], l_z[-1],
         )
         _, reranked = apply_model(features, model)
         final_rkl = measure_from_flags(

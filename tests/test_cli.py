@@ -1072,6 +1072,19 @@ def test_generate_golden_output(tmp_path):
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
+def test_golden_directory_holds_only_what_the_golden_tests_read():
+    """A stale committed artifact, or a golden file no test reads, fails
+    here: the directory holds exactly the inputs and outputs above."""
+    read = {"optimize_dataset.csv", "generate.csv"}
+    read |= {f"optimize_{tag}_{kind}" for tag in GOLDEN_RUNS
+             for kind in ("trace.csv", "model.json", "ranking.csv")}
+    read |= {f"measure_{tag}{ext}" for tag in MEASURE_GOLDEN_ARGS for ext in (".csv", ".json")}
+    read |= {f"sweep_{tag}{ext}" for tag in SWEEP_GOLDEN_ARGS for ext in (".csv", ".agg.csv")}
+    read |= {f"rank_{tag}.csv" for tag in RANK_GOLDEN_ARGS}
+    read |= {src for src, *_ in RANK_GOLDEN_ARGS.values()}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(read)
+
+
 def test_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -9,11 +9,11 @@ import pytest
 
 from rankfair import fairopt
 from rankfair.fairopt import (
+    TRACE_COLUMNS,
     DivergenceError,
     FeatureMatrix,
     Hyperparams,
     PrototypeModel,
-    TraceRecord,
     accuracy_score_diff,
     apply_model,
     gradient,
@@ -26,6 +26,17 @@ from rankfair.fairopt import (
 )
 from rankfair.measures import MeasureKind, measure_from_flags
 from rankfair.ranking import ValidationError
+
+
+def column(trace, name):
+    return trace[:, TRACE_COLUMNS.index(name)]
+
+
+def trace_bits(trace):
+    """The trace's rows as int64 bit patterns: tells -0.0 from 0.0 and
+    compares NaN as a value."""
+    return trace.shape, trace.view(np.int64).tolist()
+
 
 SOFT0 = 0.7310585786300049  # 1 / (1 + e^-1)
 SOFT1 = 0.2689414213699951  # e^-1 / (1 + e^-1)
@@ -263,25 +274,25 @@ class TestTrain:
         m1, t1 = train(biased_features, hyper)
         m2, t2 = train(biased_features, hyper)
         assert np.array_equal(m1.prototypes, m2.prototypes)
-        assert t1 == t2
+        assert trace_bits(t1) == trace_bits(t2)
 
     def test_loss_decreases_with_calibrated_rate(self, biased_features):
         hyper = Hyperparams(k=10, learning_rate=0.01, max_iters=100, seed=0)
         _, traces = train(biased_features, hyper)
         assert len(traces) <= hyper.max_iters
-        assert traces[-1].total <= traces[0].total
+        assert column(traces, "L")[-1] <= column(traces, "L")[0]
 
     def test_single_prototype_has_no_parity_loss(self, biased_features):
         hyper = Hyperparams(k=1, max_iters=10, seed=0)
         _, traces = train(biased_features, hyper)
-        assert all(t.l_z == pytest.approx(0.0, abs=1e-12) for t in traces)
+        assert all(l_z == pytest.approx(0.0, abs=1e-12) for l_z in column(traces, "L_z"))
 
     def test_trace_consistency(self, biased_features):
         hyper = Hyperparams(a_x=0.3, a_y=1.0, a_z=2.0, k=6, max_iters=15, seed=1)
         _, traces = train(biased_features, hyper)
-        for t in traces:
-            expected = 0.3 * t.l_x + 1.0 * t.l_y + 2.0 * t.l_z
-            assert t.total == pytest.approx(expected, abs=1e-9)
+        for total, l_x, l_y, l_z in traces[:, :4]:
+            expected = 0.3 * l_x + 1.0 * l_y + 2.0 * l_z
+            assert total == pytest.approx(expected, abs=1e-9)
 
     def test_k_larger_than_n(self):
         feats = feature_matrix([[0.0], [1.0]], [True, False], [0, 1])
@@ -301,6 +312,19 @@ class TestTrain:
         _, traces = train(biased_features, hyper)
         assert len(traces) < 200
 
+    def test_trace_is_one_float_array(self, biased_features):
+        _, trace = train(biased_features, Hyperparams(k=4, max_iters=6, seed=0))
+        assert trace.dtype == np.float64 and trace.shape == (6, len(TRACE_COLUMNS))
+
+    def test_rows_grow_as_training_runs(self, biased_features):
+        """No row is set aside for an iteration that does not run: a
+        ``max_iters`` past numpy's index range still trains and stops early."""
+        hyper = Hyperparams(
+            k=5, learning_rate=1e-6, max_iters=2**62, early_stop_rel_tol=0.5, seed=0
+        )
+        _, trace = train(biased_features, hyper)
+        assert 1 < len(trace) < 200
+
 
 def reference_train(features, hyper, step=10):
     """Training as it ran before the forward pass was shared: separate
@@ -310,7 +334,7 @@ def reference_train(features, hyper, step=10):
     idx = rng.choice(features.n, size=hyper.k, replace=False)
     v = features.x[idx].copy()
     w = np.full(hyper.k, 0.5)
-    traces = []
+    rows = []
     prev_total = None
     for it in range(hyper.max_iters):
         model = PrototypeModel(prototypes=v, score_weights=w)
@@ -323,19 +347,18 @@ def reference_train(features, hyper, step=10):
         )
         flags = np.array([features.protected[r] for r in order])
         rrd_ok = 2 * int(flags.sum()) <= flags.size
-        traces.append(
-            TraceRecord(
-                iteration=it,
-                total=total,
-                l_x=l_x,
-                l_y=l_y,
-                l_z=l_z,
-                rnd=measure_from_flags(MeasureKind.RND, flags, step),
-                rkl=measure_from_flags(MeasureKind.RKL, flags, step),
-                rrd=measure_from_flags(MeasureKind.RRD, flags, step)
+        rows.append(
+            (
+                total,
+                l_x,
+                l_y,
+                l_z,
+                measure_from_flags(MeasureKind.RND, flags, step),
+                measure_from_flags(MeasureKind.RKL, flags, step),
+                measure_from_flags(MeasureKind.RRD, flags, step)
                 if rrd_ok
-                else None,
-                score_diff=accuracy_score_diff(features.y, y_hat),
+                else math.nan,
+                accuracy_score_diff(features.y, y_hat),
             )
         )
         if (
@@ -349,7 +372,7 @@ def reference_train(features, hyper, step=10):
         grad_v, grad_w = gradient(features, model, hyper)
         v = v - hyper.learning_rate * grad_v
         w = w - hyper.learning_rate * grad_w
-    return PrototypeModel(prototypes=v, score_weights=w), traces
+    return PrototypeModel(prototypes=v, score_weights=w), np.array(rows)
 
 
 def with_ids(features, ids):
@@ -387,7 +410,7 @@ class TestSharedForwardPass:
             for step in (10, 7):
                 model, traces = train(feats, hyper, step=step)
                 ref_model, ref_traces = reference_train(feats, hyper, step=step)
-                assert traces == ref_traces, (name, step)
+                assert trace_bits(traces) == trace_bits(ref_traces), (name, step)
                 assert np.array_equal(model.prototypes, ref_model.prototypes)
                 assert np.array_equal(model.score_weights, ref_model.score_weights)
 
@@ -410,10 +433,10 @@ class TestSharedForwardPass:
         for step in (10, 7):
             model, traces = train(feats, hyper, step=step)
             ref_model, ref_traces = reference_train(feats, hyper, step=step)
-            assert traces == ref_traces, step
+            assert trace_bits(traces) == trace_bits(ref_traces), step
             assert np.array_equal(model.prototypes, ref_model.prototypes)
             assert np.array_equal(model.score_weights, ref_model.score_weights)
-            assert all(t.rrd is None for t in traces)
+            assert np.isnan(column(traces, "rrd")).all()
 
     def test_all_ties_rank_in_id_order(self, biased_features):
         feats = self.id_variants(biased_features)["shuffled"]
@@ -477,7 +500,7 @@ class TestApplyModel:
         # diverged model; applying it must not rank by NaN scores
         hyper = Hyperparams(k=10, learning_rate=1e160, max_iters=1, seed=0)
         model, traces = train(biased_features, hyper)
-        assert np.isfinite(traces[-1].total)
+        assert np.isfinite(column(traces, "L")[-1])
         with pytest.raises(ValueError, match="not all finite"):
             apply_model(biased_features, model)
 
@@ -539,6 +562,23 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,L,L_x,L_y,L_z,rnd,rkl,rrd,score_diff"
         assert len(lines) == len(traces) + 1
+
+    def test_majority_trace_csv_leaves_rrd_empty(self, tmp_path, biased_features):
+        """For a majority protected group every row's rrd field is empty, and
+        the file is what the per-call reference's values format to."""
+        feats = dataclasses.replace(biased_features, protected=~biased_features.protected)
+        hyper = Hyperparams(k=4, max_iters=6, seed=0)
+        _, trace = train(feats, hyper, step=7)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        _, ref = reference_train(feats, hyper, step=7)
+        want = ["iter,L,L_x,L_y,L_z,rnd,rkl,rrd,score_diff"] + [
+            ",".join([str(it), *("" if x != x else "%f" % x for x in row)])
+            for it, row in enumerate(ref.tolist())
+        ]
+        lines = path.read_text().splitlines()
+        assert lines == want
+        assert all(line.split(",")[7] == "" for line in lines[1:])
 
     def test_model_round_trip(self, tmp_path, biased_features):
         hyper = Hyperparams(k=4, max_iters=3, seed=2)

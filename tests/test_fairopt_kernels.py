@@ -3,7 +3,6 @@ ones they replaced: every loss, gradient, trace value and trained model must
 be bit for bit the same, including on shapes wide enough to reach numpy's
 eight-way and halving row-sum orders."""
 
-from dataclasses import astuple
 from typing import NamedTuple
 
 import numpy as np
@@ -15,7 +14,6 @@ from rankfair.fairopt import (
     FeatureMatrix,
     Hyperparams,
     PrototypeModel,
-    TraceRecord,
     _pairwise_row_sums,
     accuracy_score_diff,
     gradient,
@@ -99,20 +97,20 @@ def frozen_train(features, hyper, step=10):
     w = np.full(hyper.k, 0.5)
     id_ranks = reference_id_rank(features.ids)
     scale = Scale.of(features.n, int(np.count_nonzero(features.protected)), step)
-    traces = []
+    rows = []
     for it in range(hyper.max_iters):
         model = PrototypeModel(prototypes=v, score_weights=w)
         fwd = frozen_forward(features, model)
         l_x, l_y, l_z = frozen_losses(features, fwd)
         total = hyper.a_x * l_x + hyper.a_y * l_y + hyper.a_z * l_z
         flags = features.protected[reference_rank_order(fwd.y_hat, id_ranks)]
-        values = [None if v != v else v for v in scale.measure(np.cumsum(flags)[scale.cutoffs - 1])[:, 0].tolist()]
+        values = scale.measure(np.cumsum(flags)[scale.cutoffs - 1])[:, 0].tolist()
         score_diff = accuracy_score_diff(features.y, fwd.y_hat)
-        traces.append(TraceRecord(it, total, l_x, l_y, l_z, *values, score_diff))
+        rows.append((total, l_x, l_y, l_z, *values, score_diff))
         grad_v, grad_w = frozen_gradient(features, model, hyper, fwd)
         v = v - hyper.learning_rate * grad_v
         w = w - hyper.learning_rate * grad_w
-    return PrototypeModel(prototypes=v, score_weights=w), traces
+    return PrototypeModel(prototypes=v, score_weights=w), np.array(rows)
 
 
 # --- comparisons --------------------------------------------------------------
@@ -120,7 +118,7 @@ def frozen_train(features, hyper, step=10):
 
 def bits(values):
     """Exact text of each value: tells -0.0 from 0.0 and keeps every bit."""
-    return [None if v is None else float(v).hex() for v in values]
+    return [float(v).hex() for v in values]
 
 
 def same_array(a, b):
@@ -182,7 +180,7 @@ def test_train_bit_identical(n, m, k, kwargs):
     hyper = Hyperparams(k=k, **kwargs)
     model, traces = train(feats, hyper, step=7)
     want_model, want_traces = frozen_train(feats, hyper, step=7)
-    assert [bits(astuple(t)) for t in traces] == [bits(astuple(t)) for t in want_traces]
+    assert same_array(traces, want_traces)
     assert same_array(model.prototypes, want_model.prototypes)
     assert same_array(model.score_weights, want_model.score_weights)
 
@@ -194,7 +192,7 @@ def test_k1_rows_on_a_prototype_bit_identical():
     hyper = Hyperparams(a_x=1.0, a_y=0.0, a_z=1.0, k=1, max_iters=3, seed=0)
     model, traces = train(feats, hyper)
     want_model, want_traces = frozen_train(feats, hyper)
-    assert [bits(astuple(t)) for t in traces] == [bits(astuple(t)) for t in want_traces]
+    assert same_array(traces, want_traces)
     assert same_array(model.prototypes, want_model.prototypes)
 
 

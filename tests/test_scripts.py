@@ -177,3 +177,40 @@ def test_out_dir_below_a_file_exits_2(tmp_path, script):
     proc = run_script(script, *args, "--out-dir", str(out_dir))
     assert proc.returncode == 2
     assert proc.stderr == f"error: Not a directory: {out_dir}\n"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("sweep_synthetic.py", ["--n", "100", "--n-plus", "20", "999"]),
+        ("optimize_synthetic.py", ["--lr", "1e300"]),
+    ],
+    ids=["sweep_invalid_counts", "optimize_diverges"],
+)
+def test_out_dir_is_checked_before_any_work(tmp_path, script, args):
+    """An unusable ``--out-dir`` is reported before the sweep or the training
+    runs, so a size error or a divergence the work would meet does not hide
+    it."""
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "sub"
+    proc = run_script(script, *args, "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: Not a directory: {out_dir}\n"
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("sweep_synthetic.py", ["--n-plus", "150"], "invalid counts n=100, n_plus=150"),
+        ("optimize_synthetic.py", ["--n-plus", "0"], "both groups must be nonempty"),
+    ],
+    ids=["sweep", "optimize"],
+)
+def test_missing_out_dir_is_not_made_before_a_size_error(tmp_path, script, args, message):
+    """A missing ``--out-dir`` passes the check without being made: a size
+    error exits 1 and leaves no directory behind."""
+    out_dir = tmp_path / "missing" / "sub"
+    proc = run_script(script, "--n", "100", *args, "--out-dir", str(out_dir))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
