@@ -112,9 +112,8 @@ def cmd_measure(args) -> int:
     if report.rrd is None and not args.allow_majority_rrd:
         note = "rRD inapplicable: protected group is the majority"
     elif report.rrd is None and args.allow_majority_rrd:
-        rrd = measures.measure_from_flags(
-            measures.MeasureKind.RRD, rk.flags, args.step, allow_majority_rrd=True
-        )
+        scale = measures.Scale.of(report.n, report.n_plus, args.step, allow_majority_rrd=True)
+        rrd = scale.measure(report.counts)[2, 0]
         note = f"rRD (majority override) = {rrd:.6f}"
     else:
         note = None

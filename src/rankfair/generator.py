@@ -14,11 +14,14 @@ edges are the segregated rankings that the normalizer evaluates.
 
 A sweep's result is one float array of shape (f values, 3 measures, seeds),
 the seeds on its last, contiguous axis, and rRD NaN where it does not apply;
-no object is made per (f, seed) cell. Each seed's counts are measured by one
-``Scale.measure`` call, which bounds the kernel's memory at any n. The per-f
-means are one (distinct f, 3 measures) array, taken by one ``np.mean`` over
-the seed axis and one more per repeated f, and the per-cell CSV is formatted
-from the array a block of lines at a time, by ``ranking._format_rows``.
+no object is made per (f, seed) cell. The seeds are taken in batches of at
+most ``_BATCH`` draws or terms. A batch's draws are binned without branches
+and its prefix counts come out cutoff-major, the layout in which one
+``Scale.measure`` call sums them, so a batch's memory is bounded at any n.
+The per-f means are one (distinct f, 3 measures) array, taken by one
+``np.mean`` over the seed axis and one more per repeated f, and the per-cell
+CSV is formatted from the array a block of lines at a time, by
+``ranking._format_rows``.
 
 The RNG is numpy's default PCG64 generator, so outputs are reproducible
 across platforms for a given seed.
@@ -26,6 +29,7 @@ across platforms for a given seed.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,6 +37,11 @@ import numpy as np
 
 from .measures import Scale, feasible_band
 from .ranking import Ranking, _write_table
+
+# The most draws, or (f, cutoff) terms, in one batch of a sweep's seeds: 7
+# seeds at n = 1000 with 11 values of f, and one seed once n > 4096, so a
+# batch's working memory stays small at any n.
+_BATCH = 2**13
 
 
 def _check_probability(f: float) -> None:
@@ -54,33 +63,69 @@ def _check_floats(count: int) -> None:
 
 def _merger(
     f_grid: Sequence[float], cutoffs: np.ndarray, n: int, n_plus: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The protected counts of the biased merge of ``n`` items, ``n_plus``
-    protected, as a function of the draws ``u`` (step k draws ``u[k]``): one
-    row per f in ``f_grid``, one column per ascending cutoff, the last of
-    which is ``n``.
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """The protected counts of the biased merges of ``n`` items, ``n_plus``
+    protected, as a function of a batch of seeds, each of which draws its
+    ``n`` uniforms (step k draws the k-th): one row per (seed, f), f inner
+    and in ``f_grid`` order, one column per ascending cutoff, the last of
+    which is ``n``. The rows are the transpose of a
+    C-contiguous (cutoffs, rows) array, the cutoff-major layout in which
+    ``Scale.measure`` sums.
 
-    One histogram pass serves every f. A draw's bin is the cutoff interval
-    that holds its step and the number of grid values at or below it.
-    Cumulative sums over the intervals, then over those numbers, count the
+    One histogram pass serves every f. A draw's bin is its cutoff interval,
+    its seed and the number of distinct grid values at or below it, counted
+    without branches: one ``>=`` per grid value, added into a ``uint8``
+    count (``searchsorted`` from 256 distinct values, more than a byte
+    counts). One ``bincount`` lays the histogram out as (cutoffs, seeds,
+    bins); cumulative sums over the intervals, then over the bins, count the
     draws strictly below each f by each cutoff, for any grid order and with
     repeated values. What does not depend on the draws is computed here,
-    once for every seed.
+    once for every batch.
     """
-    edges = np.sort(np.asarray(f_grid, dtype=float))
+    edges = np.unique(np.asarray(f_grid, dtype=float))
     width = edges.size + 1
-    offsets = np.repeat(np.arange(cutoffs.size) * width, np.diff(cutoffs, prepend=0))
     columns = np.searchsorted(edges, f_grid)
-    lo, hi = feasible_band(cutoffs, n, n_plus)
+    spans = np.diff(cutoffs, prepend=0)
+    lo, hi = (edge[:, None, None] for edge in feasible_band(cutoffs, n, n_plus))
 
-    def counts(u: np.ndarray) -> np.ndarray:
-        bins = np.searchsorted(edges, u, side="right")
-        bins += offsets
-        hist = np.bincount(bins, minlength=cutoffs.size * width).reshape(-1, width)
-        below = hist.cumsum(axis=0).cumsum(axis=1)[:, columns].T
-        return np.minimum(np.maximum(below, lo, out=below), hi, out=below)
+    # a full batch and a last, shorter one
+    @functools.lru_cache(maxsize=2)
+    def offsets(size: int) -> np.ndarray:
+        # each draw's histogram index but for its grid bin, one row per seed
+        intervals = np.repeat(np.arange(cutoffs.size) * (size * width), spans)
+        return intervals + (np.arange(size) * width)[:, None]
+
+    def counts(batch: Sequence[int]) -> np.ndarray:
+        u = _draws(batch, n)
+        if edges.size < 256:
+            bins = np.zeros(u.shape, dtype=np.uint8)
+            above = np.empty(u.shape, dtype=bool)
+            for edge in edges.tolist():
+                np.add(bins, np.greater_equal(u, edge, out=above).view(np.uint8), out=bins)
+            del above
+        else:
+            bins = np.searchsorted(edges, u, side="right")
+        del u
+        bins = np.add(offsets(len(batch)), bins)
+        hist = np.bincount(bins.ravel(), minlength=cutoffs.size * len(batch) * width)
+        del bins
+        hist = hist.reshape(cutoffs.size, len(batch), width)
+        np.cumsum(hist, axis=0, out=hist)
+        np.cumsum(hist, axis=2, out=hist)
+        below = hist[..., columns]
+        del hist
+        np.minimum(np.maximum(below, lo, out=below), hi, out=below)
+        return below.reshape(cutoffs.size, len(batch) * columns.size).T
 
     return counts
+
+
+def _draws(seeds: Sequence[int], n: int) -> np.ndarray:
+    """Each seed's ``n`` uniform draws, one row per seed."""
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
+    return u
 
 
 def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
@@ -89,8 +134,7 @@ def merge_order(flags: np.ndarray, f: float, seed: int) -> np.ndarray:
     group empty the order is the identity."""
     flags = np.asarray(flags, dtype=bool)
     n = flags.size
-    u = np.random.default_rng(seed).random(n)
-    counts = _merger([f], np.arange(1, n + 1), n, int(flags.sum()))(u)[0]
+    counts = _merger([f], np.arange(1, n + 1), n, int(flags.sum()))([seed])[0]
     took_prot = np.diff(counts, prepend=0) > 0
     order = np.empty(n, dtype=np.intp)
     order[took_prot] = np.flatnonzero(flags)
@@ -132,9 +176,11 @@ def sweep_values(
     when the protected group is the majority.
 
     The flag sequence of a biased merge does not depend on the base, so no
-    base is drawn: each seed draws its n uniforms once, one histogram pass
-    over them gives every f's prefix counts at the cutoffs, and the seed's
-    rows are measured by one call of ``measures.Scale.measure``.
+    base is drawn: each seed draws its n uniforms once, and one histogram
+    pass over a batch of seeds' draws gives every (seed, f)'s prefix counts
+    at the cutoffs. A batch holds as many seeds as ``_BATCH`` draws or terms
+    allow (at least one), and its rows are measured by one call of
+    ``measures.Scale.measure``.
     """
     _check_counts(n, n_plus)
     for f in f_grid:
@@ -142,11 +188,12 @@ def sweep_values(
     _check_floats(len(f_grid) * 3 * len(seeds))
     scale = Scale.of(n, n_plus, step)
     values = np.empty((len(f_grid), 3, len(seeds)))
+    batch = max(1, _BATCH // max(n, len(f_grid) * scale.cutoffs.size))
     merged = _merger(f_grid, scale.cutoffs, n, n_plus)
-    for k, seed in enumerate(seeds):
-        counts = merged(np.random.default_rng(seed).random(n))
-        values[:, :, k] = scale.measure(counts).T
-        del counts  # before the next seed's merge
+    for k in range(0, len(seeds), batch):
+        chunk = seeds[k : k + batch]
+        measured = scale.measure(merged(chunk)).reshape(3, len(chunk), len(f_grid))
+        values[:, :, k : k + len(chunk)] = measured.transpose(2, 0, 1)
     return values
 
 

@@ -16,10 +16,13 @@ with each temporary dropped once read. It is the only code that computes a
 parity term; the tests pin it exactly to each term computed from its
 definition in Python floats, with numpy's log2 (``math.log2`` differs by an
 ulp on some arguments). Every caller sums a row with ``_row_sums``, strictly
-left to right, so a ranking equal to the maximizing extreme scores exactly 1
-and no value depends on the Python version. ``Scale.measure`` is the one step
-from prefix counts to measure values: kernel, row sums and the divide by each
-normalizer, in kernel calls of at most ``_KERNEL_TERMS`` terms.
+in cutoff order, so a ranking equal to the maximizing extreme scores exactly
+1 and no value depends on the Python version. ``Scale.measure`` is the one
+step from prefix counts to measure values: kernel, row sums and the divide by
+each normalizer, in kernel calls of at most ``_KERNEL_TERMS`` terms. It and
+``Scale.of`` run the kernel cutoff-major, the cutoffs a column and one
+ranking per column, so that ``np.add.reduce`` over the cutoff axis adds in
+order and vectorizes across the rankings.
 
 ``fairness_report`` keeps its per-cutoff diagnostics as the read-only arrays
 they are computed as: the scale's cutoffs, the prefix counts, and the kernel's
@@ -50,9 +53,9 @@ from .ranking import Ranking, _format_rows, build_schedule
 
 _TINY = np.finfo(float).tiny
 
-# The most terms in one kernel call: at n = 1000 (100 cutoffs) a sweep seed's
-# 11 f values take one call, and at n = 10**6 each call takes one row, so the
-# kernel's working memory stays bounded at any n.
+# The most terms in one kernel call: at n = 1000 (100 cutoffs) a sweep batch
+# of 7 seeds by 11 f values takes one call, and at n = 10**6 each call takes
+# one row, so the kernel's working memory stays bounded at any n.
 _KERNEL_TERMS = 2**16
 
 
@@ -91,11 +94,12 @@ def _discounted_terms(
     """The three measures' parity terms divided by log2(i) at the given
     cutoffs, stacked on a new first axis in ``MeasureKind`` order.
 
-    ``counts`` holds the prefix counts at ``cutoffs`` along its last axis, one
-    row per ranking; entries at infeasible pairs are meaningless. Every parity
-    term is computed here, and callers sum a row strictly left to right with
-    ``_row_sums``, so a ranking equal to the maximizing extreme scores
-    exactly 1.
+    ``counts`` holds the prefix counts at ``cutoffs``, broadcast against
+    them: along the last axis of 1-D cutoffs, or cutoff-major, one ranking
+    per column, against a column of cutoffs; entries at infeasible pairs are
+    meaningless. Every parity term is computed here, and callers sum each
+    ranking's terms strictly in cutoff order with ``_row_sums``, so a ranking
+    equal to the maximizing extreme scores exactly 1.
     """
     i = np.asarray(cutoffs, dtype=float)
     c = np.asarray(counts, dtype=float)
@@ -156,14 +160,14 @@ class Scale(NamedTuple):
         cls, n: int, n_plus: int, step: int = 10, allow_majority_rrd: bool = False
     ) -> Scale:
         """Checks the step, then the group. The normalizers come from one
-        kernel call on the two edges of ``feasible_band``, the segregated
-        rankings, in O(n / step). All are 0.0 when n <= step: the only cutoff
-        is then the whole ranking, where every ranking scores 0."""
+        cutoff-major kernel call on the two edges of ``feasible_band``, the
+        segregated rankings, in O(n / step). All are 0.0 when n <= step: the
+        only cutoff is then the whole ranking, where every ranking scores 0."""
         cutoffs = build_schedule(n, step)
         check_group(n, n_plus)
-        extremes = np.stack(feasible_band(cutoffs, n, n_plus))
+        extremes = np.stack(feasible_band(cutoffs, n, n_plus), axis=1)
         (rnd_last, rnd_first), (rkl_last, rkl_first), (rrd_last, _) = _row_sums(
-            _discounted_terms(cutoffs, extremes, n, n_plus)
+            _discounted_terms(cutoffs[:, None], extremes, n, n_plus), axis=-2
         ).tolist()
         rrd = rrd_last if 2 * n_plus <= n or allow_majority_rrd else None
         zs = (max(rnd_first, rnd_last), max(rkl_first, rkl_last), rrd)
@@ -189,24 +193,33 @@ class Scale(NamedTuple):
         """Rankings measured from their prefix counts at the cutoffs, one row
         of ``counts`` per ranking: a (3, rows) array in ``MeasureKind`` order,
         each row's ``_row_sums`` over its normalizer, 0.0 where that is 0 and
-        NaN where it is None. Each kernel call takes at most ``_KERNEL_TERMS``
-        terms (at least one row)."""
-        counts = np.atleast_2d(counts)
-        sums = np.empty((3, counts.shape[0]))
+        NaN where it is None. The kernel runs on the counts cutoff-major, the
+        cutoffs a column, so rows stored cutoff-major, as the transpose of a
+        C-contiguous (cutoffs, rows) array, are read without a copy. Each
+        kernel call takes at most ``_KERNEL_TERMS`` terms (at least one
+        row)."""
+        by_cutoff = np.atleast_2d(counts).T
+        sums = np.empty((3, by_cutoff.shape[1]))
         rows = max(1, _KERNEL_TERMS // self.cutoffs.size)
-        for j in range(0, counts.shape[0], rows):
-            sums[:, j : j + rows] = _row_sums(
-                _discounted_terms(self.cutoffs, counts[j : j + rows], self.n, self.n_plus)
-            )
+        i = self.cutoffs[:, None]
+        for j in range(0, by_cutoff.shape[1], rows):
+            terms = _discounted_terms(i, by_cutoff[:, j : j + rows], self.n, self.n_plus)
+            sums[:, j : j + rows] = _row_sums(terms, axis=-2)
         zs = np.array([np.nan if z is None else z for z in self.normalizers])[:, None]
         return np.divide(sums, zs, out=np.zeros_like(sums), where=zs != 0.0)
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Each row of ``terms`` (its last axis) summed strictly left to right
-    from 0.0, bit for bit what Python 3.11's ``sum()`` gives: ``cumsum`` adds
-    in order, and adding 0.0 turns an all ``-0.0`` row's total into 0.0."""
-    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+def _row_sums(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Each row of ``terms`` summed along ``axis`` strictly in order from
+    0.0, bit for bit what Python 3.11's ``sum()`` gives. Cutoff-major terms,
+    C-contiguous with ``axis`` -2 and the rows on the last axis, are totalled
+    by ``np.add.reduce``, which adds a whole row of cutoffs at a time, in
+    order, vectorized across the rows. Anything else, one such row included
+    (numpy sums a lone contiguous row pairwise), goes through ``cumsum``,
+    which adds in order. Adding 0.0 turns an all ``-0.0`` total into 0.0."""
+    if axis == -2 and terms.flags.c_contiguous and terms.shape[-1] > 1:
+        return np.add.reduce(terms, axis=-2) + 0.0
+    return np.take(np.cumsum(terms, axis=axis), -1, axis=axis) + 0.0
 
 
 def measure_from_flags(

@@ -233,7 +233,8 @@ def _format_rows(
     converted with ``tolist``, and a block of ``str`` is quoted by
     ``_csv_cell`` where it needs to be. With ``blank``, a row whose
     ``nan_column`` is NaN or None is put through ``blank`` instead, which
-    consumes that value with ``%.0s``."""
+    consumes that value with ``%.0s``; a block of such rows only repeats
+    ``blank``."""
     width, n = len(columns), min(map(len, columns), default=0)
     for start in range(0, n, _WRITE_ROWS):
         stop = min(start + _WRITE_ROWS, n)
@@ -241,7 +242,9 @@ def _format_rows(
         template = row * (stop - start)
         if blank is not None:
             nan = np.isnan(np.asarray(block[nan_column], dtype=float))
-            if nan.any():
+            if nan.all():
+                template = blank * (stop - start)
+            elif nan.any():
                 templates = np.array([row, blank], dtype=object)
                 template = "".join(templates[nan.view(np.uint8)].tolist())
         # the values row by row: column k fills every width-th slot from k

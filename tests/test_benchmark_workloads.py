@@ -59,3 +59,20 @@ def test_warmup_op_passes_the_benchmark_checks(name, tmp_path, capsys):
     for argv in workload.argvs(inp):
         assert main(argv) == 0, capsys.readouterr().err
     workload.check(inp)
+
+
+def test_sweep_ops_pass_the_benchmark_checks_for_both_group_sizes(tmp_path, capsys):
+    """The sweep's ops draw a protected share from 10% to 60%, while its
+    warm-up op draws one: ops run until a minority group and a majority one,
+    whose rRD cells are empty, have each passed the checks."""
+    workload = WORKLOADS["sweep"](workdir=tmp_path, seed=0)
+    minority = set()
+    for i in range(100):
+        n_plus = workload.input(i)
+        for argv in workload.argvs(n_plus):
+            assert main(argv) == 0, capsys.readouterr().err
+        workload.check(n_plus)
+        minority.add(2 * n_plus <= workload.n)
+        if minority == {True, False}:
+            break
+    assert minority == {True, False}

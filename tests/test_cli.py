@@ -987,6 +987,28 @@ def test_measure_golden_outputs(tag, tmp_path):
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
+@pytest.mark.parametrize("step", [2, 3, 10])
+@pytest.mark.parametrize("tag", sorted(MEASURE_GOLDEN_ARGS))
+def test_allow_majority_rrd_note_equals_the_flag_measure(tag, step, capsys):
+    """``--allow-majority-rrd`` leaves the report as it is. For a majority
+    group its note gives the rRD that ``measure_from_flags`` computes with
+    the override; for a minority group the output is unchanged."""
+    path = GOLDEN / f"measure_{tag}.csv"
+    args = ["measure", str(path), "--step", str(step)]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main([*args, "--allow-majority-rrd"]) == 0
+    out = capsys.readouterr().out
+    flags = ranking.read_ranking_csv(path).flags
+    if 2 * int(flags.sum()) <= flags.size:
+        assert out == plain
+    else:
+        rrd = measure_from_flags(MeasureKind.RRD, flags, step, allow_majority_rrd=True)
+        report, _, note = out.rpartition("}\n")
+        assert report == plain.rpartition("}\n")[0]
+        assert note == f"rRD (majority override) = {rrd:.6f}\n"
+
+
 SWEEP_GOLDEN_ARGS = {
     "minority": ["--n", "1000", "--n-plus", "300", "--f-grid", "0:1:0.1", "--seeds", "10"],
     "majority": ["--n", "1000", "--n-plus", "700", "--f-grid", "0:1:0.1", "--seeds", "10"],

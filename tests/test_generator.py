@@ -219,6 +219,28 @@ class TestSweep:
             reference_sweep(50, 15, grid, seeds, 7).tobytes()
         )
 
+    @pytest.mark.parametrize("distinct", [255, 256])
+    def test_grid_on_each_side_of_the_binning_switch_equals_reference(self, distinct):
+        """255 distinct grid values are counted in a byte, 256 by
+        ``searchsorted``; both shuffled, with repeats, with draws among them
+        and with draws above them all, in the last bin."""
+        n, n_plus, seeds = 40, 12, [3, 8]
+        draws = np.random.default_rng(seeds[0]).random(n)[[4, 9]]
+        grid = [*np.linspace(0.0, 0.9, distinct - 2).tolist(), *draws.tolist()]
+        grid = np.random.default_rng(distinct).permutation(grid + grid[::17]).tolist()
+        assert np.unique(grid).size == distinct
+        assert sweep_values(n, n_plus, grid, seeds, 3).tobytes() == (
+            reference_sweep(n, n_plus, grid, seeds, 3).tobytes()
+        )
+
+    def test_seeds_in_batches_equal_reference(self):
+        """At n = 3000 a batch holds two seeds, so five seeds make two full
+        batches and a partial one."""
+        grid, seeds = [0.7, 0.0, 0.7, 1.0, 0.3], [4, 0, 9, 2, 7]
+        assert sweep_values(3000, 900, grid, seeds).tobytes() == (
+            reference_sweep(3000, 900, grid, seeds).tobytes()
+        )
+
     @pytest.mark.parametrize("k", [0, 17, 39])
     def test_f_equal_to_a_draw_equals_reference(self, k):
         """A draw equal to f counts as u >= f, at the seed's own step k."""
@@ -257,6 +279,21 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_peak_memory_of_a_batch(self):
+        """The benchmark's sweep, 11 f values and 10 seeds at n = 1000, in
+        batches of 7 seeds: each batch's draws, bins, counts and kernel
+        temporaries stay under 1 MB. An untraced run first imports what
+        numpy imports on first use."""
+        grid = [k / 10 for k in range(11)]
+        sweep_values(1000, 300, grid, range(10))
+        tracemalloc.start()
+        try:
+            sweep_values(1000, 300, grid, range(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     # under 1 MB with many seeds, and under 6 times the array's bytes with
     # many f values
@@ -358,21 +395,25 @@ class TestSweepValues:
 
     @pytest.mark.parametrize("lines", [1, 7, 36, 2**16])
     def test_cells_written_in_blocks_equal_reference(self, lines, tmp_path, monkeypatch):
+        """For a minority group and for a majority one, whose every block of
+        lines has an empty rRD."""
         monkeypatch.setattr(ranking, "_WRITE_ROWS", lines)
         grid, seeds = [0.7, 0.0, 0.7, 1.0], [5, 3, 11, 2, 8, 0, 1, 9, 4]
-        values = sweep_values(50, 15, grid, seeds)
-        reference_write_sweep_csv(sweep_cells(grid, seeds, values), tmp_path / "reference.csv")
-        write_values_csv(grid, seeds, values, tmp_path / "values.csv")
-        assert (tmp_path / "values.csv").read_bytes() == (
-            (tmp_path / "reference.csv").read_bytes()
-        )
+        for n_plus in (15, 35):
+            values = sweep_values(50, n_plus, grid, seeds)
+            reference_write_sweep_csv(sweep_cells(grid, seeds, values), tmp_path / "reference.csv")
+            write_values_csv(grid, seeds, values, tmp_path / "values.csv")
+            assert (tmp_path / "values.csv").read_bytes() == (
+                (tmp_path / "reference.csv").read_bytes()
+            )
 
     @pytest.mark.parametrize("budget,rows", [(2**16, 11), (250, 2), (99, 1), (1, 1)])
     def test_kernel_calls_hold_the_term_budget(self, budget, rows, monkeypatch):
-        """Each seed's 11 x 100 counts are measured in calls of as many rows
-        as the term budget holds (at least one), with the values of one call.
-        The first call is the normalizers' one, on the two segregated
-        extremes."""
+        """Both seeds' 11 x 100 counts, one batch, are measured cutoff-major
+        in calls of as many rows as the term budget holds (at least one),
+        with the values of one call; ``rows`` is how many of a seed's 11 one
+        call holds. The first call is the normalizers' one, on the two
+        segregated extremes."""
         grid = [k / 10 for k in range(11)]
         want = sweep_values(1000, 300, grid, [3, 4])
         shapes = []
@@ -385,8 +426,10 @@ class TestSweepValues:
         monkeypatch.setattr(measures, "_KERNEL_TERMS", budget)
         monkeypatch.setattr(measures, "_discounted_terms", counted)
         assert sweep_values(1000, 300, grid, [3, 4]).tobytes() == want.tobytes()
-        per_seed = [min(rows, 11 - j) for j in range(0, 11, rows)]
-        assert shapes == [(2, 100)] + [(r, 100) for r in per_seed] * 2
+        held = 22 if rows == 11 else rows
+        per_batch = [min(held, 22 - j) for j in range(0, 22, held)]
+        assert shapes == [(100, 2)] + [(100, r) for r in per_batch]
+        assert all(r >= 1 and (c * r <= budget or r == 1) for c, r in shapes[1:])
 
 
 def test_monotone_protected_share_in_top_100():

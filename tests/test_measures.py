@@ -236,6 +236,21 @@ class TestRowSums:
         got = _row_sums(np.array([-0.0, -0.0, -0.0]))
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64])
+    def test_cutoff_major_bit_identical_to_sequential_sum(self, rows):
+        """(measures, cutoffs, rows) terms summed over the cutoff axis. The
+        first row of each measure is a column that a pairwise sum gets
+        wrong (numpy sums one contiguous row pairwise), one that Python
+        3.12's compensated ``sum()`` gets wrong, or all ``-0.0``."""
+        rng = np.random.default_rng(rows)
+        terms = rng.standard_normal((3, 13, rows)) * 10.0 ** rng.integers(-3, 17, (3, 13, rows))
+        terms[:, :, 0] = [[1.0] + [1e-16] * 12, [0.1] * 10 + [1e16, 1.0, -1e16], [-0.0] * 13]
+        got = _row_sums(terms, axis=-2)
+        columns = terms.swapaxes(1, 2).reshape(-1, 13).tolist()
+        want = [functools.reduce(operator.add, column, 0.0) for column in columns]
+        assert got.shape == (3, rows)
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want]
+
 
 class TestUnnormalizedSum:
     def test_rnd_hand_value(self):
@@ -487,6 +502,15 @@ class TestJsonMatchesReference:
         flags = np.random.default_rng(1).permutation(np.arange(n) < n_plus)
         rep = fairness_report(ranking_from_flags(flags))
         assert len(rep.cutoffs) == 2 * ranking._WRITE_ROWS + 3
+        assert report_to_json(rep) == reference_report_to_json(rep)
+
+    @pytest.mark.parametrize("lines", [1, 7, 36, 2**16])
+    def test_majority_rows_in_blocks_equal_reference(self, lines, monkeypatch):
+        """A majority group's rows, whose every block has a null rRD term."""
+        monkeypatch.setattr(ranking, "_WRITE_ROWS", lines)
+        flags = np.random.default_rng(2).permutation(np.arange(503) < 350)
+        rep = fairness_report(ranking_from_flags(flags))
+        assert rep.rrd is None
         assert report_to_json(rep) == reference_report_to_json(rep)
 
 
