@@ -16,8 +16,9 @@ A sweep's result is one float array of shape (f values, 3 measures, seeds),
 the seeds on its last, contiguous axis, and rRD NaN where it does not apply;
 no object is made per (f, seed) cell. The seeds are taken in batches of at
 most ``_BATCH`` draws or terms. A batch's draws are binned without branches
-and its prefix counts come out cutoff-major, the layout in which one
-``Scale.measure`` call sums them, so a batch's memory is bounded at any n.
+where it has enough of them per grid value, and its prefix counts come out
+cutoff-major, the layout in which one ``Scale.measure`` call sums them, so a
+batch's memory is bounded at any n.
 The per-f means are one (distinct f, 3 measures) array, taken by one
 ``np.mean`` over the seed axis and one more per repeated f, and the per-cell
 CSV is formatted from the array a block of lines at a time, by
@@ -29,7 +30,6 @@ across platforms for a given seed.
 
 from __future__ import annotations
 
-import functools
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -42,6 +42,17 @@ from .ranking import Ranking, _write_table
 # seeds at n = 1000 with 11 values of f, and one seed once n > 4096, so a
 # batch's working memory stays small at any n.
 _BATCH = 2**13
+
+# The fewest draws per distinct grid value for which a batch is binned by one
+# pass per value (at most 255 values, what a byte counts); other batches use
+# ``searchsorted``. A pass costs about 1.3 us of calls plus 0.1-0.5 ns a draw,
+# ``searchsorted`` 25-70 ns a draw, so the passes pay off from about 40 draws
+# a value. Binning fresh draws alone (numpy 2.4, 2-vCPU x86-64), the passes
+# are faster up to about 22 values on 1000 draws, 50 on 2000, 170 on 7000 and
+# all 255 on 3*10^4 to 10^5, and slower already at 16 values on 300 draws; on
+# 10^6 draws, out of cache, they are faster up to about 130 values and 1.7x
+# slower at 255.
+_PASS_DRAWS = 40
 
 
 def _check_probability(f: float) -> None:
@@ -75,29 +86,24 @@ def _merger(
     One histogram pass serves every f. A draw's bin is its cutoff interval,
     its seed and the number of distinct grid values at or below it, counted
     without branches: one ``>=`` per grid value, added into a ``uint8``
-    count (``searchsorted`` from 256 distinct values, more than a byte
-    counts). One ``bincount`` lays the histogram out as (cutoffs, seeds,
-    bins); cumulative sums over the intervals, then over the bins, count the
-    draws strictly below each f by each cutoff, for any grid order and with
-    repeated values. What does not depend on the draws is computed here,
-    once for every batch.
+    count, where the batch has ``_PASS_DRAWS`` draws per distinct value and
+    at most 255 values (``searchsorted`` otherwise). One ``bincount`` lays
+    the histogram out as (cutoffs, seeds, bins); cumulative sums over the
+    intervals, then over the bins, count the draws strictly below each f by
+    each cutoff, for any grid order and with repeated values. What does not
+    depend on the draws is computed here, once for every batch.
     """
-    edges = np.unique(np.asarray(f_grid, dtype=float))
+    # not np.unique, whose first call imports numpy.ma (+1.3 MB of peak RSS)
+    edges = np.array(sorted(set(map(float, f_grid))))
     width = edges.size + 1
     columns = np.searchsorted(edges, f_grid)
-    spans = np.diff(cutoffs, prepend=0)
     lo, hi = (edge[:, None, None] for edge in feasible_band(cutoffs, n, n_plus))
-
-    # a full batch and a last, shorter one
-    @functools.lru_cache(maxsize=2)
-    def offsets(size: int) -> np.ndarray:
-        # each draw's histogram index but for its grid bin, one row per seed
-        intervals = np.repeat(np.arange(cutoffs.size) * (size * width), spans)
-        return intervals + (np.arange(size) * width)[:, None]
+    # each step's cutoff interval, counted in one seed's grid bins
+    intervals = np.repeat(np.arange(cutoffs.size) * width, np.diff(cutoffs, prepend=0))
 
     def counts(batch: Sequence[int]) -> np.ndarray:
         u = _draws(batch, n)
-        if edges.size < 256:
+        if edges.size <= min(255, u.size // _PASS_DRAWS):
             bins = np.zeros(u.shape, dtype=np.uint8)
             above = np.empty(u.shape, dtype=bool)
             for edge in edges.tolist():
@@ -106,9 +112,12 @@ def _merger(
         else:
             bins = np.searchsorted(edges, u, side="right")
         del u
-        bins = np.add(offsets(len(batch)), bins)
-        hist = np.bincount(bins.ravel(), minlength=cutoffs.size * len(batch) * width)
+        # each draw's histogram index: its interval, its seed and its bin
+        index = intervals * len(batch) + (np.arange(len(batch)) * width)[:, None]
+        index += bins
         del bins
+        hist = np.bincount(index.ravel(), minlength=cutoffs.size * len(batch) * width)
+        del index
         hist = hist.reshape(cutoffs.size, len(batch), width)
         np.cumsum(hist, axis=0, out=hist)
         np.cumsum(hist, axis=2, out=hist)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfair import cli, measures, ranking
+from rankfair import cli, generator, measures, ranking
 from rankfair.generator import (
     aggregate_values,
     generate_unfair,
@@ -219,12 +219,23 @@ class TestSweep:
             reference_sweep(50, 15, grid, seeds, 7).tobytes()
         )
 
-    @pytest.mark.parametrize("distinct", [255, 256])
-    def test_grid_on_each_side_of_the_binning_switch_equals_reference(self, distinct):
-        """255 distinct grid values are counted in a byte, 256 by
-        ``searchsorted``; both shuffled, with repeats, with draws among them
-        and with draws above them all, in the last bin."""
-        n, n_plus, seeds = 40, 12, [3, 8]
+    @pytest.mark.parametrize(
+        "n, distinct, pass_draws, passes",
+        [(1000, 25, None, True), (999, 25, None, False), (300, 255, 1, True), (300, 256, 1, False)],
+    )
+    def test_grid_on_each_side_of_the_binning_switch_equals_reference(
+        self, n, distinct, pass_draws, passes, monkeypatch
+    ):
+        """One pass per distinct grid value bins a batch with
+        ``_PASS_DRAWS`` draws per value, ``searchsorted`` one with fewer
+        (each batch here is one seed's ``n`` draws); with ``_PASS_DRAWS``
+        set to 1, 255 values fill the ``uint8`` count and 256 take
+        ``searchsorted``. Each grid shuffled, with repeats, with draws among
+        its values and with draws above them all, in the last bin."""
+        if pass_draws is not None:
+            monkeypatch.setattr(generator, "_PASS_DRAWS", pass_draws)
+        assert (distinct <= min(255, n // generator._PASS_DRAWS)) == passes
+        n_plus, seeds = n * 3 // 10, [3, 8]
         draws = np.random.default_rng(seeds[0]).random(n)[[4, 9]]
         grid = [*np.linspace(0.0, 0.9, distinct - 2).tolist(), *draws.tolist()]
         grid = np.random.default_rng(distinct).permutation(grid + grid[::17]).tolist()
