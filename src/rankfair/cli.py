@@ -39,9 +39,9 @@ class _UsageError(ValueError):
 
 
 def parse_f_grid(text: str) -> list[float]:
-    """The f values ``start, start + step, ...`` up to ``stop`` inclusive, and
-    past 1 by at most one value; a malformed grid, or one of more than
-    ``MAX_F_GRID_VALUES`` values, raises ValueError."""
+    """The f values ``start, start + step, ...`` up to ``stop`` inclusive; a
+    malformed grid, one of more than ``MAX_F_GRID_VALUES`` values or one with
+    a value outside [0, 1] raises ValueError."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"expected start:stop:step, got {text!r}")
@@ -62,9 +62,10 @@ def parse_f_grid(text: str) -> list[float]:
         )
     grid = []
     v = start
-    # a value above 1 is rejected later, so the grid need not grow past it
-    while v <= stop + 1e-9 and (not grid or grid[-1] <= 1.0):
+    while v <= stop + 1e-9:
         grid.append(round(v, 12) + 0.0)  # + 0.0 turns a -0.0 into 0.0
+        if not 0.0 <= grid[-1] <= 1.0:
+            raise _UsageError(f"--f-grid values must be in [0, 1], got {grid[-1]}")
         v = start + len(grid) * step
     return grid
 

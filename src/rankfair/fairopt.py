@@ -356,11 +356,10 @@ def train(
 
 def write_trace_csv(trace: np.ndarray, path: str | Path) -> None:
     """Write one line per trace row: its iteration, then its columns in
-    ``TRACE_COLUMNS`` order, reals ``%f`` and a NaN rRD (column index 7)
-    empty."""
-    row, blank = "%s,%f,%f,%f,%f,%f,%f,%f,%f\n", "%s,%f,%f,%f,%f,%f,%f,%.0s,%f\n"
+    ``TRACE_COLUMNS`` order, reals ``%f`` and a NaN one (rRD, for a
+    majority group) empty."""
     header = ",".join(("iter", *TRACE_COLUMNS)) + "\n"
-    _write_table(path, header, row, [np.arange(len(trace)), *trace.T], blank, 7)
+    _write_table(path, header, "%s,%f,%f,%f,%f,%f,%f,%f,%f\n", [np.arange(len(trace)), *trace.T])
 
 
 def save_model(

@@ -239,10 +239,10 @@ def write_values_csv(
     f = np.broadcast_to(np.asarray(f_grid, dtype=float)[:, None], cells)
     seeds = np.broadcast_to(np.asarray(seeds), cells)
     columns = [grid.flat for grid in (f, seeds, *values.transpose(1, 0, 2))]
-    _write_table(path, "f,seed,rnd,rkl,rrd\n", "%f,%s,%f,%f,%f\n", columns, "%f,%s,%f,%f,%.0s\n")
+    _write_table(path, "f,seed,rnd,rkl,rrd\n", "%f,%s,%f,%f,%f\n", columns)
 
 
 def write_aggregate_csv(f: np.ndarray, means: np.ndarray, path: str | Path) -> None:
     """Write the per-f means of ``aggregate_values``: header
     ``f,rnd,rkl,rrd``, reals ``%f`` and a NaN rRD empty."""
-    _write_table(path, "f,rnd,rkl,rrd\n", "%f,%f,%f,%f\n", [f, *means.T], "%f,%f,%f,%.0s\n")
+    _write_table(path, "f,rnd,rkl,rrd\n", "%f,%f,%f,%f\n", [f, *means.T])

@@ -17,18 +17,21 @@ parity term; the tests pin it exactly to each term computed from its
 definition in Python floats, with numpy's log2 (``math.log2`` differs by an
 ulp on some arguments). Every caller sums a row with ``_row_sums``, strictly
 in cutoff order, so a ranking equal to the maximizing extreme scores exactly
-1 and no value depends on the Python version. ``Scale.measure`` is the one
-step from prefix counts to measure values: kernel, row sums and the divide by
-each normalizer, in kernel calls of at most ``_KERNEL_TERMS`` terms. It and
-``Scale.of`` run the kernel cutoff-major, the cutoffs a column and one
-ranking per column, so that ``np.add.reduce`` over the cutoff axis adds in
-order and vectorizes across the rankings.
+1 and no value depends on the Python version. ``Scale.measure`` is the step
+from prefix counts to measure values: kernel, row sums and the divide by
+each normalizer (``Scale._normalized``), in kernel calls of at most
+``_KERNEL_TERMS`` terms. It and ``Scale.of`` run the kernel cutoff-major,
+the cutoffs a column and one ranking per column, so that ``np.add.reduce``
+over the cutoff axis adds in order and vectorizes across the rankings.
 
 ``fairness_report`` keeps its per-cutoff diagnostics as the read-only arrays
 they are computed as: the scale's cutoffs, the prefix counts, and the kernel's
 (3, cutoffs) stack of discounted terms, whose rRD row is NaN where rRD does
-not apply, as in ``Scale.measure``. No Python object is made per cutoff;
-``report_to_json`` formats the columns a block of rows at a time.
+not apply, as in ``Scale.measure``. Its measures are those terms' row sums
+through ``Scale._normalized``, bit for bit what ``Scale.measure`` gives, so
+a report runs the kernel once beside the normalizers' call. No Python object
+is made per cutoff; ``report_to_json`` formats the columns a block of rows
+at a time.
 
 The rND/rKL normalizer is the larger of the discounted sums of the two
 segregated rankings: all protected items first, or all last. That this is the
@@ -205,6 +208,11 @@ class Scale(NamedTuple):
         for j in range(0, by_cutoff.shape[1], rows):
             terms = _discounted_terms(i, by_cutoff[:, j : j + rows], self.n, self.n_plus)
             sums[:, j : j + rows] = _row_sums(terms, axis=-2)
+        return self._normalized(sums)
+
+    def _normalized(self, sums: np.ndarray) -> np.ndarray:
+        """A (3, rows) array of discounted sums over their normalizers: 0.0
+        where that is 0 and NaN where it is None."""
         zs = np.array([np.nan if z is None else z for z in self.normalizers])[:, None]
         return np.divide(sums, zs, out=np.zeros_like(sums), where=zs != 0.0)
 
@@ -262,9 +270,9 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     scale = Scale.of(ranking.n, ranking.n_plus, step)
     counts = scale.counts(ranking.flags)
     terms = _discounted_terms(scale.cutoffs, counts, ranking.n, ranking.n_plus)
+    rnd, rkl, rrd = scale._normalized(_row_sums(terms)[:, None])[:, 0].tolist()
     if scale.normalizers[2] is None:
         terms[2] = np.nan
-    rnd, rkl, rrd = scale.measure(counts)[:, 0].tolist()
     counts.flags.writeable = terms.flags.writeable = False
     return FairnessReport(
         ranking.n, ranking.n_plus, step, rnd, rkl, None if rrd != rrd else rrd,
@@ -272,36 +280,23 @@ def fairness_report(ranking: Ranking, step: int = 10) -> FairnessReport:
     )
 
 
-# one per-cutoff row of ``report_to_json`` up to its rRD term; each row ends
-# with the separator of the next, and the last row's is cut off
-_CUTOFF_ROW = '{"i": %s, "c": %s, "term_rnd": %f, "term_rkl": %f, "term_rrd": '
+# the head of ``report_to_json``, then one row per cutoff; each row ends with
+# the separator of the next, and the last row's is cut off
+_REPORT_HEAD = (
+    '{\n  "n": %s,\n  "n_plus": %s,\n  "step": %s,\n'
+    '  "rnd": %f,\n  "rkl": %f,\n  "rrd": %f,\n'
+    '  "normalizers": {"rnd": %f, "rkl": %f, "rrd": %f},\n  "per_cutoff": [\n    '
+)
 _SEPARATOR = ",\n    "
-
-
-def _json_real(x: Optional[float]) -> str:
-    """A real with 6 decimals, or JSON's ``null`` for None."""
-    return "null" if x is None else f"{x:.6f}"
+_CUTOFF_ROW = '{"i": %s, "c": %s, "term_rnd": %f, "term_rkl": %f, "term_rrd": %f}' + _SEPARATOR
 
 
 def report_to_json(report: FairnessReport) -> str:
-    """Stable JSON serialization with 6-decimal reals and a NaN rRD term as
-    null; the per-cutoff rows are formatted a block at a time by
-    ``ranking._format_rows``."""
-    row, blank = (_CUTOFF_ROW + end + _SEPARATOR for end in ("%f}", "%.0snull}"))
-    rows = list(_format_rows(row, [report.cutoffs, report.counts, *report.terms], blank))
-    if rows:
-        rows[-1] = rows[-1][: -len(_SEPARATOR)]
-    z_rnd, z_rkl, z_rrd = report.normalizers
-    head = (
-        "{\n"
-        f'  "n": {report.n},\n'
-        f'  "n_plus": {report.n_plus},\n'
-        f'  "step": {report.step},\n'
-        f'  "rnd": {_json_real(report.rnd)},\n'
-        f'  "rkl": {_json_real(report.rkl)},\n'
-        f'  "rrd": {_json_real(report.rrd)},\n'
-        f'  "normalizers": {{"rnd": {_json_real(z_rnd)}, "rkl": {_json_real(z_rkl)}, '
-        f'"rrd": {_json_real(z_rrd)}}},\n'
-        '  "per_cutoff": [\n    '
-    )
+    """Stable JSON serialization with 6-decimal reals and a None or NaN real
+    as null; the head and the per-cutoff rows are formatted by
+    ``ranking._format_rows``, the rows a block at a time."""
+    fields = (report.n, report.n_plus, report.step, report.rnd, report.rkl, report.rrd)
+    head = next(_format_rows(_REPORT_HEAD, [[v] for v in (*fields, *report.normalizers)], "null"))
+    rows = list(_format_rows(_CUTOFF_ROW, [report.cutoffs, report.counts, *report.terms], "null"))
+    rows[-1] = rows[-1][: -len(_SEPARATOR)]
     return "".join([head, *rows, "\n  ]\n}\n"])

@@ -18,7 +18,9 @@ endings, put in place by a rename only once it is complete. Every output
 table is turned into text by ``_format_rows``: one ``%``-format call per block
 of at most ``_WRITE_ROWS`` rows, so a writer holds one block's values and text
 at a time. Reals are written by ``%f``: 6 decimals, the same text as
-``f"{x:.6f}"``, ``inf``, ``nan`` and ``-0.000000`` included.
+``f"{x:.6f}"``, ``inf`` and ``-0.000000`` included. A missing real (NaN or
+None) is written by ``_format_rows`` alone, empty in a CSV file and ``null``
+in JSON, so no output holds ``nan``.
 """
 
 from __future__ import annotations
@@ -224,38 +226,45 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _QUOTED_CHAR(text) else text
 
 
-def _format_rows(
-    row: str, columns: Sequence, blank: Optional[str] = None, nan_column: int = -1
-) -> Iterator[str]:
+def _format_rows(row: str, columns: Sequence, blank: str = "") -> Iterator[str]:
     """The text of every row of ``columns`` (parallel and sliceable) put
-    through the ``%``-template ``row``, one ``%`` call per block of at most
-    ``_WRITE_ROWS`` rows. A block of a column that is a numpy array is
-    converted with ``tolist``, and a block of ``str`` is quoted by
-    ``_csv_cell`` where it needs to be. With ``blank``, a row whose
-    ``nan_column`` is NaN or None is put through ``blank`` instead, which
-    consumes that value with ``%.0s``; a block of such rows only repeats
-    ``blank``."""
-    width, n = len(columns), min(map(len, columns), default=0)
+    through the ``%``-template ``row``, whose conversions are ``%s`` and
+    ``%f``, one ``%`` call per block of at most ``_WRITE_ROWS`` rows. A block
+    of a column that is a numpy array is converted with ``tolist``, and a
+    block of ``str`` under ``%s`` is quoted by ``_csv_cell`` where it needs
+    to be. A ``%f`` column is converted to floats, and a value that is NaN
+    or None is written as ``blank``: where a block's column is NaN in every
+    row, its field in the template is ``blank`` and its values are dropped;
+    a column that mixes NaN and numbers is formatted cell by cell."""
+    parts = re.split("(%.)", row)  # text, conversion, text, ... text
+    reals = {k for k, conversion in enumerate(parts[1::2]) if conversion == "%f"}
+    n = min(map(len, columns), default=0)
     for start in range(0, n, _WRITE_ROWS):
-        stop = min(start + _WRITE_ROWS, n)
-        block = [column[start:stop] for column in columns]
-        template = row * (stop - start)
-        if blank is not None:
-            nan = np.isnan(np.asarray(block[nan_column], dtype=float))
-            if nan.all():
-                template = blank * (stop - start)
-            elif nan.any():
-                templates = np.array([row, blank], dtype=object)
-                template = "".join(templates[nan.view(np.uint8)].tolist())
-        # the values row by row: column k fills every width-th slot from k
-        values = [None] * (width * (stop - start))
-        for k, cells in enumerate(block):
-            if isinstance(cells, np.ndarray):
+        rows = min(_WRITE_ROWS, n - start)
+        fields, kept = parts.copy(), []
+        for k, column in enumerate(columns):
+            cells = column[start : start + rows]
+            if k in reals:
+                x = np.asarray(cells, dtype=float)
+                nan = np.isnan(x)
+                nans = np.count_nonzero(nan)
+                if nans == rows:
+                    fields[2 * k + 1] = blank
+                    continue
+                cells = x.tolist()
+                if nans:
+                    fields[2 * k + 1] = "%s"
+                    cells = [blank if m else "%f" % v for v, m in zip(cells, nan.tolist())]
+            elif isinstance(cells, np.ndarray):
                 cells = cells.tolist()
             elif cells and isinstance(cells[0], str) and _QUOTED_CHAR("".join(cells)):
                 cells = list(map(_csv_cell, cells))
-            values[k::width] = cells
-        yield template % tuple(values)
+            kept.append(cells)
+        # the values row by row: kept column j fills every len(kept)-th slot from j
+        values = [None] * (len(kept) * rows)
+        for j, cells in enumerate(kept):
+            values[j :: len(kept)] = cells
+        yield "".join(fields) * rows % tuple(values)
 
 
 def _write_table(path: str | Path, header: str, *rows) -> None:
@@ -268,14 +277,13 @@ def _write_table(path: str | Path, header: str, *rows) -> None:
 
 def write_ranking_csv(ranking: Ranking, path: str | Path) -> None:
     """Write the ranking CSV format: header ``id,protected,score``, rows in
-    rank order; a missing (NaN) score is empty, every other score ``%f``,
-    and an id is quoted by ``_csv_cell``. Rows are formatted and written a
-    block at a time, by ``_format_rows``."""
-    header, columns = "id,protected,score\n", [ranking.ids, ranking.flags.view(np.uint8)]
-    if ranking.scores is None:
-        _write_table(path, header, "%s,%s,\n", columns)
-    else:
-        _write_table(path, header, "%s,%s,%f\n", [*columns, ranking.scores], "%s,%s,%.0s\n")
+    rank order; a missing (NaN) score, or every score of a ranking without
+    them, is empty, every other score ``%f``, and an id is quoted by
+    ``_csv_cell``. Rows are formatted and written a block at a time, by
+    ``_format_rows``."""
+    scores = np.broadcast_to(np.nan, ranking.n) if ranking.scores is None else ranking.scores
+    columns = [ranking.ids, ranking.flags.view(np.uint8), scores]
+    _write_table(path, "id,protected,score\n", "%s,%s,%f\n", columns)
 
 
 def read_ranking_csv(path: str | Path) -> Ranking:

@@ -61,11 +61,15 @@ def test_warmup_op_passes_the_benchmark_checks(name, tmp_path, capsys):
     workload.check(inp)
 
 
-def test_sweep_ops_pass_the_benchmark_checks_for_both_group_sizes(tmp_path, capsys):
+@pytest.mark.parametrize("grid_steps", [10, 100])
+def test_sweep_ops_pass_the_benchmark_checks_for_both_group_sizes(grid_steps, tmp_path, capsys):
     """The sweep's ops draw a protected share from 10% to 60%, while its
     warm-up op draws one: ops run until a minority group and a majority one,
-    whose rRD cells are empty, have each passed the checks."""
-    workload = WORKLOADS["sweep"](workdir=tmp_path, seed=0)
+    whose rRD cells are empty, have each passed the checks. The workload's
+    11 grid values bin each batch by one pass per value; 101 values leave a
+    one-seed batch under ``generator._PASS_DRAWS`` draws per value, so it
+    takes ``searchsorted``."""
+    workload = WORKLOADS["sweep"](workdir=tmp_path, seed=0, grid_steps=grid_steps)
     minority = set()
     for i in range(100):
         n_plus = workload.input(i)

@@ -270,10 +270,8 @@ class TestSweep:
             (["--n", "1", "--n-plus", "0"], "invalid counts n=1, n_plus=0"),
             (["--n-plus", "0"], "protected group size 0 of 20 is degenerate"),
             (["--n-plus", "20"], "protected group size 20 of 20 is degenerate"),
-            (["--f-grid", "0:2:0.5"], "fairness probability must be in [0, 1], got 1.5"),
-            (["--step", "1"], "step must be >= 2, got 1"),
-            (["--f-grid", "0:1e300:0.5"], "fairness probability must be in [0, 1], got 1.5"),
             (["--n-plus", "0", "--step", "1"], "step must be >= 2, got 1"),
+            (["--step", "1"], "step must be >= 2, got 1"),
         ],
     )
     def test_domain_errors_exit_1(self, tmp_path, capsys, flags, message):
@@ -283,6 +281,20 @@ class TestSweep:
         ]
         assert main(args) == 1
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "grid,value", [("0:2:0.5", "1.5"), ("0:1e300:0.5", "1.5"), ("-0.5:1:0.5", "-0.5")]
+    )
+    def test_grid_outside_unit_interval_exit_2(self, tmp_path, capsys, grid, value):
+        """As ``generate --f`` is, before any work."""
+        args = [
+            "sweep", "--n", "20", "--n-plus", "5", f"--f-grid={grid}",
+            "--seeds", "2", "--out", str(tmp_path / "s.csv"),
+        ]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --f-grid values must be in [0, 1], got {value}\n"
         assert not list(tmp_path.iterdir())
 
 

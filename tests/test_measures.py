@@ -443,6 +443,38 @@ class TestFairnessReport:
         total = sum(rep.terms[0])
         assert rep.rnd == pytest.approx(total / rep.normalizers[0], abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            np.random.default_rng(3).permutation(np.arange(103) < 30),
+            np.random.default_rng(4).permutation(np.arange(103) < 70),
+            np.array([False, True, True, False, False, True, False]),
+        ],
+        ids=["minority", "majority", "n_below_step"],
+    )
+    def test_one_kernel_call_for_the_report(self, flags, monkeypatch):
+        """``fairness_report`` sums its own per-cutoff terms, so it runs the
+        kernel twice (the normalizers, then the terms), and its measures
+        equal ``Scale.measure`` on the report's counts bit for bit."""
+        calls = []
+        kernel = measures._discounted_terms
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(measures, "_discounted_terms", counted)
+        rep = fairness_report(ranking_from_flags(flags.tolist()))
+        assert len(calls) == 2
+        monkeypatch.undo()
+        scale = Scale.of(rep.n, rep.n_plus, rep.step)
+        want = scale.measure(scale.counts(flags))[:, 0]
+        assert np.array([rep.rnd, rep.rkl]).tobytes() == want[:2].tobytes()
+        if rep.rrd is None:
+            assert np.isnan(want[2]) and 2 * rep.n_plus > rep.n
+        else:
+            assert np.float64(rep.rrd).tobytes() == want[2].tobytes()
+
     def test_json_shape(self):
         import json
 

@@ -1,5 +1,8 @@
 import csv
+import itertools
+import math
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -495,6 +498,56 @@ class TestWriterBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def reference_format_rows(row, columns, blank):
+    """Every row formatted on its own: a ``%f`` value that is NaN or None is
+    ``blank``, any other one ``f"{x:.6f}"``, and a ``%s`` value its text, an
+    id quoted by ``_csv_cell``."""
+    texts, conversions = re.split("%.", row), re.findall("%.", row)
+    lines = []
+    for values in zip(*columns):
+        fields = [
+            (blank if x is None or math.isnan(x) else f"{x:.6f}") if conversion == "%f"
+            else ranking._csv_cell(x) if isinstance(x, str) else str(x)
+            for conversion, x in zip(conversions, values)
+        ]
+        lines.append("".join(t + f for t, f in zip(texts, fields + [""])))
+    return "".join(lines)
+
+
+# rows of a NaN pattern: none, every one, or runs that fill a 3-row block (0-2),
+# share one (3-5) and leave one clear (6-8), and a last short block (9, 10)
+FORMAT_ROWS = 11
+NAN_ROWS = {"none": [], "all": list(range(FORMAT_ROWS)), "some": [0, 1, 2, 4, 9]}
+
+
+class TestFormatRows:
+    @pytest.mark.parametrize("blank", ["", "null"])
+    @pytest.mark.parametrize("write_rows", [1, 3, 4096])
+    def test_equals_per_row_reference(self, write_rows, blank, monkeypatch):
+        """Int, quoted and plain ``str`` and real columns, with NaN in no
+        row, every row or some rows of a middle real column (the trace's
+        rRD) and of the last one, given as an array or as a list with
+        None."""
+        monkeypatch.setattr(ranking, "_WRITE_ROWS", write_rows)
+        row = "%s,%f,%s,%f,%f\n"
+        ints = np.arange(FORMAT_ROWS) * 7 - 20
+        texts = [f'a,"{k}"' if k % 4 == 1 else f"t{k}" for k in range(FORMAT_ROWS)]
+        for middle, last, as_list in itertools.product(NAN_ROWS, NAN_ROWS, [False, True]):
+            reals = np.linspace(-1.5, 2.0, 3 * FORMAT_ROWS).reshape(3, FORMAT_ROWS)
+            reals[0, NAN_ROWS[middle]] = np.nan
+            reals[2, NAN_ROWS[last]] = np.nan
+            tail = [None if x != x else x for x in reals[2].tolist()] if as_list else reals[2]
+            columns = [ints, reals[0], texts, reals[1], tail]
+            want = reference_format_rows(row, [ints.tolist(), *columns[1:]], blank)
+            got = "".join(ranking._format_rows(row, columns, blank))
+            assert got == want, (middle, last, as_list)
+
+    def test_ranking_without_scores_writes_all_nan_scores(self, tmp_path):
+        write_ranking_csv(block_case("no_scores"), tmp_path / "none.csv")
+        write_ranking_csv(block_case("all_nan"), tmp_path / "nan.csv")
+        assert (tmp_path / "none.csv").read_bytes() == (tmp_path / "nan.csv").read_bytes()
 
 
 class TestWrittenIdsReadBack:
